@@ -271,6 +271,8 @@ def cmd_replace(args) -> int:
 def cmd_mixedsub(args) -> int:
     if args.lifting:
         doc = _load_json(args.lifting)
+        if not isinstance(doc, list):
+            raise ParseError("lifting document must be a JSON list of rationals")
         lifting = [parse_rat(str(x)) for x in doc]
     else:
         rng = random.Random(args.random)

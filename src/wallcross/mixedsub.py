@@ -17,7 +17,11 @@ happens exactly when such a cell meets the boundary of m*Delta_2 in an
 isolated vertex, and the cell geometry allows that for at most one of the
 three boundary edges.
 
-Everything is exact over Q: orientation tests, hull computations, areas.
+Everything is exact: orientation tests, hull computations, areas.  A
+lifting in Q(e) is an infinitesimal perturbation (Edelsbrunner-Muecke,
+"Simulation of Simplicity", 1990); it is scaled by one common factor that
+is positive near e = 0 into integer polynomials in e, and the one integer
+hull scan takes each orientation sign power of e by power of e.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .epsfield import EpsRat
@@ -172,20 +176,45 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _int_lower_cells(
-    points: Sequence[tuple[int, ...]], heights: Sequence[int], groups: Sequence[int]
-) -> list[frozenset[int]]:
-    """Integer-only lower hull scan (see _lower_cells for the contract).
+def _normal(rows: list[list[int]]) -> list[int]:
+    """Integer null vector of the k x (k+1) rows: the generalized cross
+    product, whose j-th entry is the signed minor with column j deleted."""
+    normal = []
+    sign = 1
+    for j in range(len(rows) + 1):
+        minor = [row[:j] + row[j + 1 :] for row in rows]
+        normal.append(sign * _int_det(minor))
+        sign = -sign
+    return normal
 
-    The supporting hyperplane of a lifted subset is carried by the integer
-    null vector (gamma, delta, c) of the rows (p, 1, h), computed as a
-    generalized cross product; a query (q, h_q) lies on or above it exactly
-    when (gamma.q + delta + c*h_q) has the sign of c or vanishes.
+
+def _lower_cells(
+    points: Sequence[tuple[int, ...]],
+    heights: Sequence[Sequence[int]],
+    groups: Sequence[int],
+) -> list[frozenset[int]]:
+    """Full-dimensional faces of the lower hull of the lifted points.
+
+    heights[i] holds the integer coefficients (h_0, h_1, ...) of the height
+    of point i as a polynomial in e; a rational lifting has one level.
+    The supporting hyperplane of a lifted (D+1)-subset is carried by the
+    integer null vector (gamma, delta, c) of its rows (p, 1, h); no point
+    hangs below it when every t = gamma.q + delta + c*h_q has the sign of c
+    or vanishes, and then the points with t = 0 form a cell.  t is linear in
+    the height column and c does not involve it, so the coefficient of e^k
+    in t is the same test on the heights h_k; the sign of t is that of its
+    first nonzero coefficient, and higher ones are computed only on ties.
+    Subsets missing a point group (copy) are affinely degenerate, and
+    subsets inside a found cell add nothing: both are skipped.
     """
     n = len(points)
     dim = len(points[0])
     group_count = len(set(groups))
-    lifted = [list(p) + [1, heights[i]] for i, p in enumerate(points)]
+    levels = len(heights[0])
+    lifted = [
+        [list(p) + [1, heights[i][k]] for i, p in enumerate(points)]
+        for k in range(levels)
+    ]
     cells: list[frozenset[int]] = []
     for subset in combinations(range(n), dim + 1):
         if len({groups[i] for i in subset}) != group_count:
@@ -193,20 +222,22 @@ def _int_lower_cells(
         sub = set(subset)
         if any(sub <= cell for cell in cells):
             continue
-        rows = [lifted[i] for i in subset]
-        normal = []
-        sign = 1
-        for j in range(dim + 2):
-            minor = [row[:j] + row[j + 1 :] for row in rows]
-            normal.append(sign * _int_det(minor))
-            sign = -sign
+        normal = _normal([lifted[0][i] for i in subset])
         c = normal[-1]
         if c == 0:
             continue  # affinely degenerate subset
+        normals = [normal]
         below = False
         on_face: list[int] = []
-        for i, row in enumerate(lifted):
+        for i, row in enumerate(lifted[0]):
             t = sum(a * x for a, x in zip(normal, row))
+            if t == 0:
+                for k in range(1, levels):
+                    if k == len(normals):
+                        normals.append(_normal([lifted[k][j] for j in subset]))
+                    t = sum(a * x for a, x in zip(normals[k], lifted[k][i]))
+                    if t:
+                        break
             if t == 0:
                 on_face.append(i)
             elif (t > 0) != (c > 0):
@@ -220,68 +251,29 @@ def _int_lower_cells(
     return cells
 
 
-def _field_solve(matrix: list[list], rhs: list):
-    """Exact Gaussian elimination over whichever field the entries live in
-    (Fraction or EpsRat); None when the matrix is singular."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def _lower_cells(
-    points: Sequence[Point], heights: Sequence[Height], groups: Sequence[int]
-) -> list[frozenset[int]]:
-    """Full-dimensional faces of the lower hull of the lifted points.
-
-    For each affinely independent (D+1)-subset the unique affine function
-    interpolating the heights is tested as a lower support: if no point
-    hangs below it, its equality set is a cell.  A subset missing one of
-    the point groups (copies) is affinely degenerate and skipped outright;
-    subsets inside an already found cell are skipped too, which keeps the
-    scan fast once the cells exist.
-    """
-    n = len(points)
-    dim = len(points[0])
-    group_count = len(set(groups))
-    cells: list[frozenset[int]] = []
-    for subset in combinations(range(n), dim + 1):
-        if len({groups[i] for i in subset}) != group_count:
-            continue
-        sub = set(subset)
-        if any(sub <= cell for cell in cells):
-            continue
-        matrix = [list(points[i]) + [Fraction(1)] for i in subset]
-        rhs = [heights[i] for i in subset]
-        coeffs = _field_solve(matrix, rhs)
-        if coeffs is None:
-            continue
-        alpha, beta = coeffs[:dim], coeffs[dim]
-        below = False
-        on_face: list[int] = []
-        for i, p in enumerate(points):
-            v = sum(a * x for a, x in zip(alpha, p)) + beta - heights[i]
-            if v > 0:
-                below = True
-                break
-            if v == 0:
-                on_face.append(i)
-        if below:
-            continue
-        cell = frozenset(on_face)
-        if cell not in cells:
-            cells.append(cell)
-    return cells
+def _lower_heights(heights: Sequence[Height]) -> list[list[int]]:
+    """Integer coefficient vectors, all of one length, of the heights
+    times D*L (see regular_mixed_subdivision)."""
+    parts = [
+        (h.num.coeffs or (0,), h.den.coeffs) if isinstance(h, EpsRat) else ((h,), (1,))
+        for h in heights
+    ]
+    dens = set(den for _, den in parts)
+    scaled = []
+    for num, den in parts:
+        poly = list(num)
+        for other in dens - {den}:
+            prod = [Fraction(0)] * (len(poly) + len(other) - 1)
+            for i, x in enumerate(poly):
+                for j, y in enumerate(other):
+                    prod[i + j] += x * y
+            poly = prod
+        scaled.append(poly)
+    scale = lcm(*(x.denominator for poly in scaled for x in poly))
+    levels = max(len(poly) for poly in scaled)
+    return [
+        [int(x * scale) for x in poly] + [0] * (levels - len(poly)) for poly in scaled
+    ]
 
 
 def regular_mixed_subdivision(
@@ -293,6 +285,13 @@ def regular_mixed_subdivision(
     (copy 1 vertex 0, ..., copy 1 vertex d, copy 2 vertex 0, ...); values
     may be rational or live in Q(e).  Non-generic liftings are legal; the
     result is then flagged via non_generic and fiber_vertex will refuse it.
+
+    Every lifting is lowered to integers before the one hull scan: each
+    height num/den has den's lowest coefficient +1 (a rational has den = 1),
+    so the product D of the distinct denominators is positive near e = 0,
+    and an integer lcm L clears the rational coefficients of each h*D.
+    Scaling all heights by one positive D*L keeps the lower hull, and a sign
+    in Q(e) is taken power of e by power of e on the integer coefficients.
     """
     if d not in (1, 2):
         raise BadParameters("mixed subdivisions implemented for d in {1, 2}")
@@ -309,23 +308,16 @@ def regular_mixed_subdivision(
         )
     config = cayley_config(d, m)
     copy_of = [tag[0] for tag in config.tags]
-    if all(isinstance(h, Fraction) for h in heights):
-        # Clear denominators; positive rescaling preserves the lower hull.
-        scale = 1
-        for h in heights:
-            scale = scale * h.denominator // gcd(scale, h.denominator)
-        int_heights = [int(h * scale) for h in heights]
-        int_points = [tuple(int(x) for x in p) for p in config.points]
-        raw_cells = _int_lower_cells(int_points, int_heights, copy_of)
-    else:
-        raw_cells = _lower_cells(config.points, heights, copy_of)
+    int_points = [tuple(int(x) for x in p) for p in config.points]
+    raw_cells = _lower_cells(int_points, _lower_heights(heights), copy_of)
     cells = []
     for raw in raw_cells:
         faces = [set() for _ in range(m)]
         for idx in raw:
             copy, v = config.tags[idx]
             faces[copy - 1].add(v)
-        assert all(faces), "a full-dimensional lower cell misses a copy"
+        if not all(faces):
+            raise InvariantBreach("a full-dimensional lower cell misses a copy")
         cells.append(MixedCell(d, tuple(frozenset(f) for f in faces)))
     cells.sort(key=MixedCell.sort_key)
     subdivision = MixedSubdivision(d, m, heights, tuple(cells))

@@ -138,6 +138,16 @@ def test_mixedsub_lifting_file(capsys, tmp_path):
     assert doc["fiber_vertex"] is not None
 
 
+@pytest.mark.parametrize("text", ["5", "null", '{"a": 1}'])
+def test_mixedsub_lifting_must_be_a_list(capsys, tmp_path, text):
+    path = tmp_path / "lift.json"
+    path.write_text(text)
+    code = main(["mixedsub", "--d", "2", "--m", "2", "--lifting", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "JSON list" in err
+
+
 def test_mixedsub_random_deterministic(capsys):
     code1, out1 = run(capsys, "mixedsub", "--d", "2", "--m", "3", "--random", "9")
     code2, out2 = run(capsys, "mixedsub", "--d", "2", "--m", "3", "--random", "9")

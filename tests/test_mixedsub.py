@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.epsfield import EPS, EpsRat
+from wallcross import mixedsub
+from wallcross.epsfield import EPS, EpsPoly, EpsRat
 from wallcross.errors import (
     BadParameters,
+    DegreeOverflow,
     DimensionMismatch,
+    InvariantBreach,
     NotFine,
     SizeGuard,
     WrongDimension,
@@ -271,6 +274,117 @@ def test_infinitesimal_refinement_is_fine_and_refines():
                 all(f <= g for f, g in zip(cell.faces, other.faces))
                 for other in coarse.cells
             )
+
+
+def reference_lower_cells(points, heights, groups):
+    """The former Q(e) lower-hull scan, kept as the reference: solve for the
+    affine function through each lifted subset by Gaussian elimination over
+    Q(e) and test every point against it with field comparisons."""
+
+    def solve(matrix, rhs):
+        n = len(matrix)
+        aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+        for col in range(n):
+            pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+            if pivot_row is None:
+                return None
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            piv = aug[col][col]
+            aug[col] = [x / piv for x in aug[col]]
+            for r in range(n):
+                if r != col and aug[r][col] != 0:
+                    f = aug[r][col]
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        return [aug[r][n] for r in range(n)]
+
+    dim = len(points[0])
+    group_count = len(set(groups))
+    cells = []
+    for subset in itertools.combinations(range(len(points)), dim + 1):
+        if len({groups[i] for i in subset}) != group_count:
+            continue
+        if any(set(subset) <= cell for cell in cells):
+            continue
+        matrix = [list(points[i]) + [Fraction(1)] for i in subset]
+        coeffs = solve(matrix, [heights[i] for i in subset])
+        if coeffs is None:
+            continue
+        alpha, beta = coeffs[:dim], coeffs[dim]
+        values = [
+            sum(a * x for a, x in zip(alpha, p)) + beta - heights[i]
+            for i, p in enumerate(points)
+        ]
+        if any(v > 0 for v in values):
+            continue
+        cell = frozenset(i for i, v in enumerate(values) if v == 0)
+        if cell not in cells:
+            cells.append(cell)
+    return cells
+
+
+def reference_faces(d, m, lifting):
+    config = cayley_config(d, m)
+    heights = [h if isinstance(h, EpsRat) else Fraction(h) for h in lifting]
+    copy_of = [tag[0] for tag in config.tags]
+    out = []
+    for raw in reference_lower_cells(config.points, heights, copy_of):
+        faces = [[] for _ in range(m)]
+        for idx in raw:
+            copy, v = config.tags[idx]
+            faces[copy - 1].append(v)
+        out.append(tuple(tuple(sorted(f)) for f in faces))
+    return sorted(out)
+
+
+def test_integer_scan_matches_field_scan_on_perturbed_liftings():
+    rng = random.Random(59)
+
+    # Small ranges, so that many point tests tie in their leading terms.
+    def rat(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 2))
+
+    def linear():
+        return rng.randint(0, 2) + rng.randint(-2, 2) * e
+
+    makers = (
+        linear,
+        lambda: rat(0, 2) + rat(-1, 1) * e + rat(-4, 4) * e**2,
+        lambda: linear() / (1 + rat(-3, 3) * e),
+        lambda: rng.choice([Fraction(rng.randint(0, 2)), linear()]),
+    )
+    shapes = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
+    for index in range(48):
+        d, m = shapes[index % len(shapes)]
+        make = makers[(index // len(shapes)) % len(makers)]
+        lift = [make() for _ in range(m * (d + 1))]
+        got = faces_of(regular_mixed_subdivision(d, m, lift))
+        assert got == reference_faces(d, m, lift), (d, m, lift)
+
+
+def test_lowering_exceeds_the_epspoly_degree_guard():
+    # Nine distinct denominators of degree 8: their product has degree 72,
+    # past MAX_EPS_DEGREE, although every height stays within it.
+    lift = [(i % 3 + (i - 4) * e) / (1 + (i + 1) * e) ** 8 for i in range(9)]
+    with pytest.raises(DegreeOverflow):
+        product = EpsPoly((1,))
+        for h in lift:
+            product = product * h.den
+    S = regular_mixed_subdivision(2, 3, lift)
+    assert faces_of(S) == [
+        ((0,), (0,), (0, 1, 2)),
+        ((0,), (0, 1), (1, 2)),
+        ((0,), (0, 1, 2), (2,)),
+        ((0, 1), (1,), (1, 2)),
+        ((0, 1), (1, 2), (2,)),
+        ((0, 1, 2), (2,), (2,)),
+    ]
+
+
+def test_cell_missing_a_copy_raises(monkeypatch):
+    # Points 0..2 are the vertices of copy 1 alone.
+    monkeypatch.setattr(mixedsub, "_lower_cells", lambda *args: [frozenset({0, 1, 2})])
+    with pytest.raises(InvariantBreach):
+        regular_mixed_subdivision(2, 2, [0, 0, 1, 0, 1, 0])
 
 
 # -- defect cells --------------------------------------------------------------------
