@@ -30,13 +30,18 @@ def weight_vector_to_json(b: weights.WeightVector) -> dict:
     return {"d": b.d, "n": b.n, "entries": [str(x) for x in b.entries]}
 
 
-def weight_vector_from_json(doc: dict) -> weights.WeightVector:
-    try:
-        return weights.WeightVector(
-            int(doc["d"]), int(doc["n"]), [parse_eps_rat(s) for s in doc["entries"]]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed weight vector document: %s" % exc) from exc
+def weight_vector_from_json(doc: Any) -> weights.WeightVector:
+    what = "weight vector document"
+    d, n = _json_int(doc, "d", what), _json_int(doc, "n", what)
+    entries = []
+    for i, text in enumerate(_json_list(doc, "entries", what), 1):
+        if not isinstance(text, str):
+            raise ParseError("weight entry %d must be a string, got %s" % (i, json.dumps(text)))
+        try:
+            entries.append(parse_eps_rat(text))
+        except ParseError as exc:
+            raise ParseError("weight entry %d: %s" % (i, exc)) from exc
+    return weights.WeightVector(d, n, entries)
 
 
 def wall_to_json(w: weights.Wall) -> dict:
@@ -59,12 +64,15 @@ def arrangement_to_json(a: arr_mod.Arrangement) -> dict:
     }
 
 
-def arrangement_from_json(doc: dict) -> arr_mod.Arrangement:
-    try:
-        rows = [[parse_rat(x) for x in row] for row in doc["hyperplanes"]]
-        return arr_mod.Arrangement(int(doc["d"]), int(doc["n"]), rows)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed arrangement document: %s" % exc) from exc
+def arrangement_from_json(doc: Any) -> arr_mod.Arrangement:
+    what = "arrangement document"
+    d, n = _json_int(doc, "d", what), _json_int(doc, "n", what)
+    rows = []
+    for i, row in enumerate(_json_list(doc, "hyperplanes", what), 1):
+        if not isinstance(row, list):
+            raise ParseError("hyperplane %d must be a JSON list" % i)
+        rows.append([parse_rat(x) for x in row])
+    return arr_mod.Arrangement(d, n, rows)
 
 
 def flat_to_json(f: Optional[arr_mod.Flat]) -> Optional[dict]:
@@ -84,13 +92,39 @@ def _poly_coeffs(text: str) -> tuple:
     return parse_poly(text, var="t")
 
 
+def _json_field(doc: Any, key: str, what: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ParseError("%s must be a JSON object" % what)
+    if key not in doc:
+        raise ParseError("%s has no %r field" % (what, key))
+    return doc[key]
+
+
+def _json_int(doc: Any, key: str, what: str) -> int:
+    """An integer field, given as a JSON integer or a string of digits."""
+    value = _json_field(doc, key, what)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError("%s field %r must be an integer, got %s" % (what, key, json.dumps(value)))
+
+
+def _json_list(doc: Any, key: str, what: str) -> list:
+    value = _json_field(doc, key, what)
+    if not isinstance(value, list):
+        raise ParseError("%s field %r must be a JSON list, got %s" % (what, key, json.dumps(value)))
+    return value
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
 
 

@@ -14,7 +14,7 @@ Plain rationals are handled by fractions.Fraction, re-exported as Rat.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -31,7 +31,12 @@ RatLike = Union[int, Fraction]
 
 #: Hard cap on polynomial degree.  Nothing in this problem domain exceeds
 #: degree two; a larger degree almost certainly signals a bug upstream.
+#: The parser refuses exponents past it as well.
 MAX_EPS_DEGREE = 64
+
+#: The parser refuses integer literals longer than this, well below the
+#: 4300-digit limit of Python's int().
+MAX_LITERAL_DIGITS = 1000
 
 
 def _as_fraction(x: RatLike) -> Fraction:
@@ -436,6 +441,40 @@ def eval_at(a: EpsRatLike, x: RatLike) -> Fraction:
     return EpsRat.coerce(a).eval_at(x)
 
 
+def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
+    """Integer coefficient vectors, all of one length, of the values times
+    one common factor D*L that is positive near e = 0.
+
+    Each denominator in normal form has lowest coefficient +1, so the
+    product D of the distinct denominators is positive near 0; L is the lcm
+    of the rational coefficients' denominators.  Multiplying by a positive
+    factor keeps every sign, so the sign of a value, or of a sum of values
+    minus k*D*L, is the lexicographic sign of its integer coefficients,
+    lowest degree first.  The products run on plain coefficient lists, so D
+    may pass the EpsPoly degree guard where no value does.
+    """
+    parts = [
+        (x.num.coeffs or (0,), x.den.coeffs) if isinstance(x, EpsRat) else ((x,), (1,))
+        for x in values
+    ]
+    dens = set(den for _, den in parts)
+    scaled = []
+    for num, den in parts:
+        poly = list(num)
+        for other in dens - {den}:
+            prod = [Fraction(0)] * (len(poly) + len(other) - 1)
+            for i, x in enumerate(poly):
+                for j, y in enumerate(other):
+                    prod[i + j] += x * y
+            poly = prod
+        scaled.append(poly)
+    scale = lcm(*(x.denominator for poly in scaled for x in poly))
+    levels = max(len(poly) for poly in scaled)
+    return [
+        [int(x * scale) for x in poly] + [0] * (levels - len(poly)) for poly in scaled
+    ]
+
+
 def positivity_radius(a: EpsRat) -> Fraction:
     """A rational r in (0, 1/2] such that sign(a.eval_at(x)) == a.sign() for
     every rational 0 < x < r.
@@ -511,6 +550,11 @@ def _tokenize(text: str, var: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    "integer literal of %d digits exceeds the limit of %d"
+                    % (j - i, MAX_LITERAL_DIGITS)
+                )
             tokens.append(int(text[i:j]))
             i = j
             continue
@@ -581,6 +625,10 @@ class _Parser:
             k = self.take()
             if not isinstance(k, int):
                 raise ParseError("exponent must be an integer")
+            if k > MAX_EPS_DEGREE:
+                raise ParseError(
+                    "exponent %d exceeds the limit of %d" % (k, MAX_EPS_DEGREE)
+                )
             value = value ** (-k if neg else k)
         return value
 
@@ -600,7 +648,9 @@ class _Parser:
 
 def parse_eps_rat(text: str, var: str = "e") -> EpsRat:
     """Parse a rational-function expression in the given variable."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError("expected an expression string, got %r" % (text,))
+    if not text.strip():
         raise ParseError("empty expression")
     parser = _Parser(_tokenize(text, var), var)
     value = parser.expr()
@@ -619,6 +669,8 @@ def parse_poly(text: str, var: str = "t") -> "tuple[Fraction, ...]":
 
 def parse_rat(text: str) -> Fraction:
     """Parse an exact rational number such as "3", "-1/2"."""
+    if not isinstance(text, str):
+        raise ParseError("expected a rational number as a string, got %r" % (text,))
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

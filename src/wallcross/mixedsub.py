@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from typing import Optional, Sequence
 
-from .epsfield import EpsRat
+from .epsfield import EpsRat, clear_denominators
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -251,31 +250,6 @@ def _lower_cells(
     return cells
 
 
-def _lower_heights(heights: Sequence[Height]) -> list[list[int]]:
-    """Integer coefficient vectors, all of one length, of the heights
-    times D*L (see regular_mixed_subdivision)."""
-    parts = [
-        (h.num.coeffs or (0,), h.den.coeffs) if isinstance(h, EpsRat) else ((h,), (1,))
-        for h in heights
-    ]
-    dens = set(den for _, den in parts)
-    scaled = []
-    for num, den in parts:
-        poly = list(num)
-        for other in dens - {den}:
-            prod = [Fraction(0)] * (len(poly) + len(other) - 1)
-            for i, x in enumerate(poly):
-                for j, y in enumerate(other):
-                    prod[i + j] += x * y
-            poly = prod
-        scaled.append(poly)
-    scale = lcm(*(x.denominator for poly in scaled for x in poly))
-    levels = max(len(poly) for poly in scaled)
-    return [
-        [int(x * scale) for x in poly] + [0] * (levels - len(poly)) for poly in scaled
-    ]
-
-
 def regular_mixed_subdivision(
     d: int, m: int, lifting: Sequence[Height]
 ) -> MixedSubdivision:
@@ -309,7 +283,7 @@ def regular_mixed_subdivision(
     config = cayley_config(d, m)
     copy_of = [tag[0] for tag in config.tags]
     int_points = [tuple(int(x) for x in p) for p in config.points]
-    raw_cells = _lower_cells(int_points, _lower_heights(heights), copy_of)
+    raw_cells = _lower_cells(int_points, clear_denominators(heights), copy_of)
     cells = []
     for raw in raw_cells:
         faces = [set() for _ in range(m)]

@@ -13,15 +13,37 @@ reports (`walls_containing`, `segment_walls`) scan every integer level
 1 <= k <= |I| for subsets 2 <= |I| <= n-1, because the canonical weight
 vectors sit exactly on integer levels just outside the strict range and
 those incidences are the ones the closed-form statements describe.
+
+Every incidence is decided on integers.  On first use a weight vector is
+lowered once (`clear_denominators`): each entry is multiplied by one common
+factor D*L, the product D of the distinct entry denominators times an
+integer lcm L.  Each denominator has lowest coefficient +1, so D*L is
+positive near e = 0 and keeps every sign.  Entry i becomes an integer
+coefficient vector N_i and level k becomes k*D*L, so the sign of
+sum_I b_i - k is the lexicographic sign, lowest degree first, of
+sum_I N_i - k*D*L.  Each vector is packed into one int in base 2^bits,
+lowest degree in the most significant digit.  The base exceeds twice the
+largest coefficient that any subset sum minus k*D*L with 0 <= k <= n can
+reach, so no digit carries into the next and that sign is the sign of one
+int subtraction; a rational vector packs to a plain int.
+
+One enumerator, `_multiplicities`, walks the multiplicity vectors over the
+value groups of one or two weight vectors with packed incremental sums, and
+drives the walls, the crossings and the chamber predicates.  Q(e) values
+are built only for output: one parameter u0 and one crossing point per
+distinct u0, from integer polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from fractions import Fraction
+from math import lcm
+from itertools import combinations, groupby, product, zip_longest
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .epsfield import EPS, EpsRat, EpsRatLike
+from .epsfield import EPS, ZERO, EpsPoly, EpsRat, EpsRatLike, clear_denominators
 from .errors import BadParameters, DimensionMismatch, SizeGuard
 
 #: Subset enumeration refuses to run past this many coordinates.
@@ -53,7 +75,7 @@ class Wall:
 class WeightVector:
     """d, n and n weight entries in Q(e), each in (0, 1]."""
 
-    __slots__ = ("d", "n", "entries")
+    __slots__ = ("d", "n", "entries", "_lowered")
 
     def __init__(self, d: int, n: int, entries: Iterable[EpsRatLike]):
         if d < 1 or n < d + 3:
@@ -67,6 +89,7 @@ class WeightVector:
         self.d = d
         self.n = n
         self.entries = vals
+        self._lowered = None  # the integer lowering, made on first use
 
     def total(self) -> EpsRat:
         acc = self.entries[0]
@@ -145,18 +168,98 @@ def wall_value(wall: Wall, b: WeightVector) -> EpsRat:
     return acc
 
 
-def _value_groups(*vectors: WeightVector) -> list[tuple[tuple[EpsRat, ...], list[int]]]:
-    """Group coordinate indices by their tuple of entry values.
+def _guard(n: int) -> None:
+    if n > MAX_WALL_COORDS:
+        raise SizeGuard(
+            "n = %d would scan 2^%d = %s subsets; capped at n <= %d"
+            % (n, n, format(2**n, ","), MAX_WALL_COORDS)
+        )
+
+
+# -- integer lowering and the subset enumerator ----------------------------------
+
+
+class _Lowered(NamedTuple):
+    """A weight vector times its common factor D*L, on integers."""
+
+    bits: int
+    unit: list[int]  # coefficients of D*L, lowest degree first
+    packed_unit: int
+    packed: tuple[int, ...]  # b_i * D*L, packed
+
+
+def _pack(coeffs: Sequence[int], bits: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = (acc << bits) + c
+    return acc
+
+
+def _unpack(x: int, bits: int, length: int) -> list[int]:
+    """Inverse of _pack for digits of absolute value below 2^(bits-1)."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = [0] * length
+    for j in range(length - 1, -1, -1):
+        digit = x & mask
+        if digit >= half:
+            digit -= mask + 1
+        out[j] = digit
+        x = (x - digit) >> bits
+    return out
+
+
+def _lowered(b: WeightVector) -> _Lowered:
+    """The integer lowering of b, made on first use and kept on b."""
+    if b._lowered is None:
+        *coeffs, unit = clear_denominators(b.entries + (1,))
+        # Largest coefficient of any subset sum minus k*D*L with k <= n.
+        reach = max(
+            sum(abs(v[j]) for v in coeffs) + b.n * abs(unit[j]) for j in range(len(unit))
+        )
+        bits = (2 * reach).bit_length()
+        b._lowered = _Lowered(
+            bits, unit, _pack(unit, bits), tuple(_pack(v, bits) for v in coeffs)
+        )
+    return b._lowered
+
+
+def _value_groups(*lowered: _Lowered) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Group coordinate indices by their tuple of packed entries.
 
     Subset sums only depend on how many indices are taken from each group, so
-    enumeration can run over multiplicity vectors instead of raw subsets.
+    enumeration runs over multiplicity vectors instead of raw subsets.
     """
-    groups: dict[tuple[EpsRat, ...], list[int]] = {}
-    n = vectors[0].n
-    for i in range(1, n + 1):
-        key = tuple(v.entries[i - 1] for v in vectors)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(zip(*(low.packed for low in lowered)), 1):
         groups.setdefault(key, []).append(i)
     return list(groups.items())
+
+
+def _multiplicities(groups) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every multiplicity vector m, 0 <= m_g <= |group g|, with its size
+    sum(m) and its packed sums sum_g m_g * value_g, one per weight vector.
+
+    An odometer over the groups, last group fastest: each step adds one group
+    value or takes back a full group, so a sum costs O(1) amortised additions.
+    """
+    counts = [len(indices) for _, indices in groups]
+    values = [vals for vals, _ in groups]
+    mult = [0] * len(groups)
+    sums = [0] * len(values[0])
+    size = 0
+    while True:
+        yield tuple(mult), size, tuple(sums)
+        g = len(groups) - 1
+        while g >= 0 and mult[g] == counts[g]:
+            size -= counts[g]
+            sums = [s - counts[g] * v for s, v in zip(sums, values[g])]
+            mult[g] = 0
+            g -= 1
+        if g < 0:
+            return
+        mult[g] += 1
+        size += 1
+        sums = [s + v for s, v in zip(sums, values[g])]
 
 
 def _expand_subsets(groups, multiplicities) -> Iterator[frozenset[int]]:
@@ -169,14 +272,23 @@ def _expand_subsets(groups, multiplicities) -> Iterator[frozenset[int]]:
         yield frozenset(i for chunk in pick for i in chunk)
 
 
-def _integer_level(value: EpsRat) -> int | None:
-    """The integer k with value == k, if there is one."""
-    if not value.is_constant():
-        return None
-    c = value.constant_value()
-    if c.denominator != 1:
-        return None
-    return int(c)
+# -- integer polynomials, lowest degree first ---------------------------------------
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+# -- walls and crossings -------------------------------------------------------------
 
 
 def walls_containing(b: WeightVector) -> list[Wall]:
@@ -184,24 +296,15 @@ def walls_containing(b: WeightVector) -> list[Wall]:
 
     Exhaustive over the value-multiset compression of b; guarded at n <= 20.
     """
-    if b.n > MAX_WALL_COORDS:
-        raise SizeGuard("wall enumeration capped at n <= %d" % MAX_WALL_COORDS)
-    groups = _value_groups(b)
-    counts = [len(indices) for _, indices in groups]
+    _guard(b.n)
+    low = _lowered(b)
+    groups = _value_groups(low)
     found = []
-    for mult in product(*(range(c + 1) for c in counts)):
-        size = sum(mult)
-        if not 2 <= size <= b.n - 1:
-            continue
-        value = EpsRat.from_rat(0)
-        for (vals, _), m in zip(groups, mult):
-            if m:
-                value = value + vals[0] * m
-        k = _integer_level(value)
-        if k is None or k < 1:
-            continue
-        for subset in _expand_subsets(groups, mult):
-            found.append(Wall(subset, k))
+    for mult, size, (s,) in _multiplicities(groups):
+        if 2 <= size <= b.n - 1:
+            k, rest = divmod(s, low.packed_unit)
+            if rest == 0:
+                found += [Wall(I, k) for I in _expand_subsets(groups, mult)]
     found.sort(key=Wall.sort_key)
     return found
 
@@ -218,39 +321,82 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         raise DimensionMismatch("weight vectors live in different domains")
     if b == b2:
         raise BadParameters("segment endpoints coincide")
-    if b.n > MAX_WALL_COORDS:
-        raise SizeGuard("wall enumeration capped at n <= %d" % MAX_WALL_COORDS)
-    groups = _value_groups(b, b2)
-    counts = [len(indices) for _, indices in groups]
-    crossings = []
-    for mult in product(*(range(c + 1) for c in counts)):
-        size = sum(mult)
+    _guard(b.n)
+    low, low2 = _lowered(b), _lowered(b2)
+    unit, unit2 = low.packed_unit, low2.packed_unit
+    groups = _value_groups(low, low2)
+    found = []
+    for mult, size, (s, s2) in _multiplicities(groups):
         if not 2 <= size <= b.n - 1:
             continue
-        start = EpsRat.from_rat(0)
-        end = EpsRat.from_rat(0)
-        for (vals, _), m in zip(groups, mult):
-            if m:
-                start = start + vals[0] * m
-                end = end + vals[1] * m
-        for k in range(1, size + 1):
-            s0 = (start - k).sign()
-            s1 = (end - k).sign()
-            if s0 * s1 != -1:
-                continue
-            u0 = (k - start) / (end - start)
-            point = WeightVector(
-                b.d,
-                b.n,
-                tuple(
-                    x * (1 - u0) + y * u0
-                    for x, y in zip(b.entries, b2.entries)
-                ),
-            )
-            for subset in _expand_subsets(groups, mult):
-                crossings.append(Crossing(Wall(subset, k), u0, point))
-    crossings.sort(key=lambda c: (c.u0, c.wall.sort_key()))
+        # The levels strictly between the two sums S and S2: from
+        # floor(min) + 1 to ceil(max) - 1.
+        first = min(s // unit, s2 // unit2) + 1
+        last = max(-(-s // unit), -(-s2 // unit2)) - 1
+        if first > last:
+            continue
+        # u0 = (k - S) / (S2 - S) with S = A/D and S2 = A2/D2, as num/den
+        # with den = sign * (A2*D - A*D2) > 0 near 0.
+        sign = 1 if s2 > first * unit2 else -1
+        start = _unpack(s, low.bits, len(low.unit))
+        end = _unpack(s2, low2.bits, len(low2.unit))
+        den = [sign * x for x in _add(_mul(end, low.unit), _mul(start, low2.unit), -1)]
+        for k in range(first, last + 1):
+            num = _mul(_unpack(k * unit - s, low.bits, len(low.unit)), low2.unit)
+            found.append(([sign * x for x in num], den, k, mult))
+    # Every num and den has len(D) + len(D2) - 1 coefficients.  Evaluated at
+    # e = 1/B, with B above twice any coefficient of num*den2 - num2*den,
+    # num/den is a Fraction in the order of u0 in Q(e), equal exactly when
+    # the u0 are.
+    top = max((abs(x) for num, den, _, _ in found for x in num + den), default=0)
+    bits = (4 * (len(low.unit) + len(low2.unit)) * top * top).bit_length()
+    keyed = sorted(
+        (
+            (Fraction(_pack(num, bits), _pack(den, bits)), num, den, k, mult)
+            for num, den, k, mult in found
+        ),
+        key=itemgetter(0),
+    )
+    forms = [
+        _on_integers(b.entries[indices[0] - 1]) + _on_integers(b2.entries[indices[0] - 1])
+        for _, indices in groups
+    ]
+    crossings = []
+    for _, run in groupby(keyed, key=itemgetter(0)):
+        run = list(run)
+        _, num, den, _, _ = run[0]
+        u0 = EpsRat(EpsPoly(num), EpsPoly(den))
+        point = _crossing_point(b, groups, forms, u0)
+        batch = [
+            Crossing(Wall(I, k), u0, point)
+            for _, _, _, k, mult in run
+            for I in _expand_subsets(groups, mult)
+        ]
+        batch.sort(key=lambda c: c.wall.sort_key())
+        crossings += batch
     return crossings
+
+
+def _on_integers(x: EpsRat) -> tuple[list[int], list[int]]:
+    """x.num and x.den, both times the lcm of their coefficient denominators."""
+    scale = lcm(*(c.denominator for c in x.num.coeffs + x.den.coeffs))
+    return [int(c * scale) for c in x.num.coeffs], [int(c * scale) for c in x.den.coeffs]
+
+
+def _crossing_point(b, groups, forms, u0: EpsRat) -> WeightVector:
+    """(1-u0)*b + u0*b2.  With u0 = u/v and forms[g] = (x.num, x.den, y.num,
+    y.den) on integers for the entries x of b and y of b2 in group g, the
+    entry is (x.num*y.den*(v - u) + y.num*x.den*u) / (x.den*y.den*v): built
+    from the entries' own reduced forms, so its degree stays near u0's."""
+    u, v = _on_integers(u0)
+    w = _add(v, u, -1)
+    entries = [ZERO] * b.n
+    for (_, indices), (xn, xd, yn, yd) in zip(groups, forms):
+        top = _add(_mul(_mul(xn, yd), w), _mul(_mul(yn, xd), u))
+        value = EpsRat(EpsPoly(top), EpsPoly(_mul(_mul(xd, yd), v)))
+        for j in indices:
+            entries[j - 1] = value
+    return WeightVector(b.d, b.n, entries)
 
 
 def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
@@ -272,20 +418,47 @@ def chamber_walls(d: int, n: int) -> Iterator[Wall]:
                 yield Wall(frozenset(subset), k)
 
 
+def _chamber_levels(groups, lows, d: int, n: int):
+    """For each multiplicity vector of a chamber wall index set,
+    2 <= |I| <= n-2: the vector and, per weight vector, the signs of
+    S - k for k = 1..d, where S is its subset sum."""
+    for mult, size, sums in _multiplicities(groups):
+        if 2 <= size <= n - 2:
+            yield mult, [
+                tuple(
+                    (s > k * low.packed_unit) - (s < k * low.packed_unit)
+                    for k in range(1, d + 1)
+                )
+                for s, low in zip(sums, lows)
+            ]
+
+
 def sign_vector(b: WeightVector) -> SignVector:
     """Signs of b against every chamber wall; the chamber certificate."""
-    if b.n > MAX_WALL_COORDS:
-        raise SizeGuard("wall enumeration capped at n <= %d" % MAX_WALL_COORDS)
-    return SignVector(
-        b.d, b.n, tuple(wall_value(w, b).sign() for w in chamber_walls(b.d, b.n))
-    )
+    _guard(b.n)
+    lows = (_lowered(b),)
+    groups = _value_groups(*lows)
+    group_of = {i: g for g, (_, indices) in enumerate(groups) for i in indices}
+    levels = {mult: signs for mult, (signs,) in _chamber_levels(groups, lows, b.d, b.n)}
+    walls = []
+    for subset in _subsets_lex(b.n):
+        if 2 <= len(subset) <= b.n - 2:
+            mult = [0] * len(groups)
+            for i in subset:
+                mult[group_of[i]] += 1
+            walls.append(levels[tuple(mult)])
+    # chamber_walls order: level k ascending, then the index sets.
+    return SignVector(b.d, b.n, tuple(signs[k] for k in range(b.d) for signs in walls))
 
 
-def _check_same_domain(b: WeightVector, b2: WeightVector) -> None:
+def _pair_levels(b: WeightVector, b2: WeightVector):
+    """The chamber-wall signs of b and of b2, one multiplicity vector at a time."""
     if (b.d, b.n) != (b2.d, b2.n):
         raise DimensionMismatch("weight vectors live in different domains")
-    if b.n > MAX_WALL_COORDS:
-        raise SizeGuard("wall enumeration capped at n <= %d" % MAX_WALL_COORDS)
+    _guard(b.n)
+    lows = (_lowered(b), _lowered(b2))
+    for _, levels in _chamber_levels(_value_groups(*lows), lows, b.d, b.n):
+        yield levels
 
 
 def same_chamber(b: WeightVector, b2: WeightVector) -> bool:
@@ -293,22 +466,16 @@ def same_chamber(b: WeightVector, b2: WeightVector) -> bool:
 
     Points on a wall belong to no chamber, so any zero sign makes this False.
     """
-    _check_same_domain(b, b2)
-    for w in chamber_walls(b.d, b.n):
-        s0 = wall_value(w, b).sign()
-        if s0 == 0 or s0 != wall_value(w, b2).sign():
+    for signs, signs2 in _pair_levels(b, b2):
+        if 0 in signs or signs != signs2:
             return False
     return True
 
 
 def in_chamber_closure(b: WeightVector, b2: WeightVector) -> bool:
     """Whether b lies in the closure of the open chamber containing b2."""
-    _check_same_domain(b, b2)
-    for w in chamber_walls(b.d, b.n):
-        s2 = wall_value(w, b2).sign()
-        if s2 == 0:
-            return False
-        if wall_value(w, b).sign() not in (0, s2):
+    for signs, signs2 in _pair_levels(b, b2):
+        if 0 in signs2 or any(x not in (0, y) for x, y in zip(signs, signs2)):
             return False
     return True
 

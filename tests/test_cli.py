@@ -196,3 +196,60 @@ def test_malformed_json_never_raises(capsys, tmp_path):
     assert main(["stability", str(path), "--weights", "nt"]) == 2
     path.write_text(json.dumps({"d": 2, "n": 6, "hyperplanes": [["1", "0"]]}))
     assert main(["stability", str(path), "--weights", "nt"]) == 2
+
+
+def _one_line_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+WEIGHTS = {"d": 2, "n": 6, "entries": ["1", "1", "1", "e", "e", "e"]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"d": "abc"}, "'d' must be an integer"),
+        ({"entries": [1, "1", "1", "e", "e", "e"]}, "weight entry 1 must be a string"),
+        ({"entries": None}, "'entries' must be a JSON list"),
+        ({"entries": {}}, "'entries' must be a JSON list"),
+        ({"entries": ["1" * 5000] + ["1"] * 5}, "weight entry 1: integer literal"),
+        ({"entries": ["e^65"] + ["1"] * 5}, "weight entry 1: exponent 65"),
+    ],
+)
+def test_malformed_weight_documents(capsys, tmp_path, change, message):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**WEIGHTS, **change}))
+    assert message in _one_line_error(capsys, ["walls", "--weights", str(path)])
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"d": "abc", "n": 4, "hyperplanes": [["1", "0", "0"]] * 4}, "'d' must be an integer"),
+        ({"d": 2, "n": 4, "hyperplanes": [1, 2, 3, 4]}, "hyperplane 1 must be a JSON list"),
+        ({"d": 2, "n": 4, "hyperplanes": [[1, 0, 0]] * 4}, "expected a rational number"),
+        ([], "must be a JSON object"),
+    ],
+)
+def test_malformed_arrangement_documents(capsys, tmp_path, doc, message):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    argv = ["stability", str(path), "--weights", "nt"]
+    assert message in _one_line_error(capsys, argv)
+
+
+def test_json_integer_past_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"d": %s, "n": 6, "entries": []}' % ("1" * 5000))
+    assert "invalid JSON" in _one_line_error(capsys, ["walls", "--weights", str(path)])
+
+
+def test_numeric_pairing_matrix_entries(capsys, tmp_path):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"matrix": [[0, 1], [1, 0]], "divisor": ["1", "1"]}))
+    err = _one_line_error(capsys, ["ample", "--model", "pairing", str(path)])
+    assert "expected a rational number" in err

@@ -8,6 +8,7 @@ import pytest
 from wallcross.epsfield import (
     EPS,
     MAX_EPS_DEGREE,
+    MAX_LITERAL_DIGITS,
     ONE,
     ZERO,
     EpsPoly,
@@ -16,6 +17,7 @@ from wallcross.epsfield import (
     eps_cmp,
     parse_eps_rat,
     parse_poly,
+    parse_rat,
     poly_gcd,
     positivity_radius,
 )
@@ -217,6 +219,32 @@ def test_parse_rejects_garbage():
     for bad in ("", "1 +", "x", "e^e", "(1", "1 2"):
         with pytest.raises(ParseError):
             parse_eps_rat(bad)
+
+
+def test_parse_bounds():
+    # Literals past the digit limit and exponents past the degree guard are
+    # refused before any big number is built.
+    with pytest.raises(ParseError, match="digits"):
+        parse_eps_rat("1" * (MAX_LITERAL_DIGITS + 1))
+    with pytest.raises(ParseError, match="digits"):
+        parse_eps_rat("1" * 5000)
+    with pytest.raises(ParseError, match="exponent"):
+        parse_eps_rat("2^%d" % (MAX_EPS_DEGREE + 1))
+    with pytest.raises(ParseError, match="exponent"):
+        parse_eps_rat("e^-%d" % (MAX_EPS_DEGREE + 1))
+    with pytest.raises(ParseError, match="exponent"):
+        parse_eps_rat("2^99999999999999999999999999")
+    assert parse_eps_rat("1" * MAX_LITERAL_DIGITS) == int("1" * MAX_LITERAL_DIGITS)
+    assert parse_eps_rat("e^40") == EpsRat(EpsPoly([0] * 40 + [1]))
+    assert parse_eps_rat("(1+e)^8") == (1 + e) ** 8
+    assert parse_eps_rat("e^-64") == 1 / e**64
+
+
+def test_parse_rejects_non_strings():
+    with pytest.raises(ParseError, match="string"):
+        parse_eps_rat(1)
+    with pytest.raises(ParseError, match="string"):
+        parse_rat(1)
 
 
 def test_parse_poly():

@@ -19,3 +19,32 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_no_floats():
+    # Exactness is the product: no float literal, float() call or float-valued
+    # math function anywhere in the package.
+    banned = {"log", "log2", "log10", "log1p", "sqrt", "pow"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(where + " float literal")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                found.append(where + " float()")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr in banned
+            ):
+                found.append(where + " math." + node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [where + " math." + a.name for a in node.names if a.name in banned]
+    assert found == []

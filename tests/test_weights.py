@@ -9,6 +9,7 @@ import pytest
 from wallcross.epsfield import EPS, EpsRat
 from wallcross.errors import BadParameters, DimensionMismatch, SizeGuard
 from wallcross.weights import (
+    Crossing,
     Wall,
     WeightVector,
     chamber_walls,
@@ -179,8 +180,17 @@ def test_walls_containing_matches_brute_force():
 
 def test_size_guard():
     b = WeightVector(1, 21, [Fraction(1, 2)] * 21)
-    with pytest.raises(SizeGuard):
-        walls_containing(b)
+    message = "n = 21 would scan 2^21 = 2,097,152 subsets; capped at n <= 20"
+    for call in (
+        lambda: walls_containing(b),
+        lambda: segment_walls(b, WeightVector(1, 21, [1] * 21)),
+        lambda: sign_vector(b),
+        lambda: same_chamber(b, b),
+        lambda: in_chamber_closure(b, b),
+    ):
+        with pytest.raises(SizeGuard) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 # -- segment crossings -------------------------------------------------------------
@@ -231,6 +241,22 @@ def test_segment_walls_matches_brute_force():
         for c in got:
             for q in ORACLE_POINTS:
                 assert c.u0.eval_at(q) == expected[(c.wall.I, c.wall.k)]
+
+
+def test_segment_walls_with_high_degree_denominators():
+    # Six distinct cubic denominators per endpoint: the common factors of the
+    # two lowerings have degree 18 each, so D*D2*den would pass the degree
+    # guard; the points are built from u0 and the entries' reduced forms.
+    b = WeightVector(1, 6, [Fraction(1, 2) / (1 + q * e) ** 3 for q in range(1, 7)])
+    b2 = WeightVector(1, 6, [Fraction(2, 3) / (1 + q * e) ** 3 for q in range(2, 8)])
+    crossings = segment_walls(b, b2)
+    assert len(crossings) == 36
+    for c in crossings[::12]:
+        start, end = (sum(v.entries[i - 1] for i in c.wall.I) for v in (b, b2))
+        assert c.u0 == (c.wall.k - start) / (end - start)
+        assert c.point.entries == tuple(
+            x * (1 - c.u0) + y * c.u0 for x, y in zip(b.entries, b2.entries)
+        )
 
 
 def test_segment_rejects_equal_endpoints():
@@ -336,3 +362,167 @@ def test_chamber_walls_canonical_order():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         same_chamber(t_weights(2, 6), t_weights(2, 7))
+
+
+# -- differential test against the Q(e) subset loops the integer lowering replaced --
+#
+# The reference below is the EpsRat implementation of the five functions as
+# it stood before the weight domain moved to integers: every subset sum,
+# level test and crossing is computed in Q(e).  The two predicates are read
+# off the Q(e) sign vectors, as the old loops did wall by wall.
+
+
+def _ref_groups(*vectors):
+    groups = {}
+    for i in range(1, vectors[0].n + 1):
+        groups.setdefault(tuple(v.entries[i - 1] for v in vectors), []).append(i)
+    return list(groups.items())
+
+
+def _ref_subsets(groups, mult):
+    pools = [
+        itertools.combinations(indices, m)
+        for (_, indices), m in zip(groups, mult)
+        if m > 0
+    ]
+    for pick in itertools.product(*pools):
+        yield frozenset(i for chunk in pick for i in chunk)
+
+
+def _ref_mults(groups):
+    return itertools.product(*(range(len(indices) + 1) for _, indices in groups))
+
+
+def ref_walls_containing(b):
+    groups = _ref_groups(b)
+    found = []
+    for mult in _ref_mults(groups):
+        if not 2 <= sum(mult) <= b.n - 1:
+            continue
+        value = EpsRat.from_rat(0)
+        for (vals, _), m in zip(groups, mult):
+            if m:
+                value = value + vals[0] * m
+        if not value.is_constant() or value.constant_value().denominator != 1:
+            continue
+        k = int(value.constant_value())
+        if k >= 1:
+            found += [Wall(I, k) for I in _ref_subsets(groups, mult)]
+    found.sort(key=Wall.sort_key)
+    return found
+
+
+def ref_segment_walls(b, b2):
+    groups = _ref_groups(b, b2)
+    crossings = []
+    for mult in _ref_mults(groups):
+        size = sum(mult)
+        if not 2 <= size <= b.n - 1:
+            continue
+        start = EpsRat.from_rat(0)
+        end = EpsRat.from_rat(0)
+        for (vals, _), m in zip(groups, mult):
+            if m:
+                start = start + vals[0] * m
+                end = end + vals[1] * m
+        for k in range(1, size + 1):
+            if (start - k).sign() * (end - k).sign() != -1:
+                continue
+            u0 = (k - start) / (end - start)
+            point = WeightVector(
+                b.d, b.n, [x * (1 - u0) + y * u0 for x, y in zip(b.entries, b2.entries)]
+            )
+            crossings += [Crossing(Wall(I, k), u0, point) for I in _ref_subsets(groups, mult)]
+    crossings.sort(key=lambda c: (c.u0, c.wall.sort_key()))
+    return crossings
+
+
+def ref_sign_vector(b):
+    return tuple(wall_value(w, b).sign() for w in chamber_walls(b.d, b.n))
+
+
+def ref_same_chamber(signs, signs2):
+    return all(s0 != 0 and s0 == s2 for s0, s2 in zip(signs, signs2))
+
+
+def ref_in_chamber_closure(signs, signs2):
+    return all(s2 != 0 and s0 in (0, s2) for s0, s2 in zip(signs, signs2))
+
+
+def _crossing_text(crossings):
+    return [(c.wall, str(c.u0), [str(x) for x in c.point.entries]) for c in crossings]
+
+
+def _den_vector(rng, d, n):
+    """Entries (a + c*e)/(1 + q*e): a non-constant denominator per entry."""
+    while True:
+        entries = []
+        for _ in range(n):
+            a = Fraction(rng.randint(1, 23), 24)
+            entries.append((a + rng.randint(-2, 2) * e) / (1 + rng.randint(1, 5) * e))
+        wv = WeightVector(d, n, entries)
+        if (wv.total() - (d + 1)).sign() > 0:
+            return wv
+
+
+def _few_valued_pair(rng, d, n):
+    blocks = [rng.randrange(3) for _ in range(n)]
+    while True:
+        v = [Fraction(x, 24) for x in rng.sample(range(1, 25), 3)]
+        w = [Fraction(x, 24) for x in rng.sample(range(1, 25), 3)]
+        b = WeightVector(d, n, [v[x] for x in blocks])
+        b2 = WeightVector(d, n, [w[x] for x in blocks])
+        if b != b2 and (b.total() - d - 1).sign() > 0 and (b2.total() - d - 1).sign() > 0:
+            return b, b2
+
+
+def _packing_pair():
+    """Large coprime denominators with d = 3 and n = 9.  The first vector has
+    eight entries 1, so its walls reach the level n - 1; the e-coefficients
+    are far larger than the constant parts that decide the signs, and carry
+    both signs, so a base too small for them or a lost carry shows."""
+    p, q, r = 1000003, 999983, 999979
+    b = WeightVector(3, 9, [1] * 8 + [1 - 96 * e / p])
+    b2 = WeightVector(
+        3, 9,
+        [Fraction(p + 1, 2 * p) + 88 * e / p] * 4
+        + [Fraction(q - 1, 2 * q) - 77 * e / q] * 4
+        + [1 - 999 * e / r],
+    )
+    return b, b2
+
+
+def _differential_corpus():
+    rng = random.Random(21)
+    pairs = [
+        (t_weights(d, n), nt_weights(d, n)) for d in (1, 2, 3) for n in range(d + 3, 8)
+    ]
+    for k in range(4):
+        d = 1 + k % 3
+        n = d + 3 + k % 2
+        pairs.append((random_weight_vector(rng, d, n), random_weight_vector(rng, d, n)))
+        pairs.append(
+            (random_weight_vector(rng, d, n, True), random_weight_vector(rng, d, n, True))
+        )
+    for n in (4, 5):
+        pairs.append((_den_vector(rng, 1, n), _den_vector(rng, 1, n)))
+        pairs.append((_den_vector(rng, 1, n), random_weight_vector(rng, 1, n, True)))
+    for d in (1, 2, 3):
+        pairs.append(_few_valued_pair(rng, d, 9))
+    return [(b, b2) for b, b2 in pairs + [_packing_pair()] if b != b2]
+
+
+def test_integer_lowering_matches_the_qe_loops():
+    for b, b2 in _differential_corpus():
+        assert _crossing_text(segment_walls(b, b2)) == _crossing_text(
+            ref_segment_walls(b, b2)
+        ), (b, b2)
+        signs = {x: ref_sign_vector(x) for x in (b, b2)}
+        for x, y in ((b, b2), (b2, b)):
+            assert walls_containing(x) == ref_walls_containing(x), x
+            assert sign_vector(x).signs == signs[x], x
+            assert same_chamber(x, y) == ref_same_chamber(signs[x], signs[y]), (x, y)
+            assert in_chamber_closure(x, y) == ref_in_chamber_closure(signs[x], signs[y]), (
+                x,
+                y,
+            )
