@@ -14,6 +14,7 @@ Plain rationals are handled by fractions.Fraction, re-exported as Rat.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as igcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -21,6 +22,7 @@ from .errors import (
     BadParameters,
     DegreeOverflow,
     DivisionByZero,
+    InvariantBreach,
     ParseError,
     PoleAtPoint,
 )
@@ -168,6 +170,38 @@ class EpsPoly:
         return acc
 
 
+# -- coefficient lists, lowest degree first ------------------------------------
+
+
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two coefficient lists of ints or Fractions."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_add(a: Sequence, b: Sequence, sign: int = 1) -> list:
+    """a + sign*b for two coefficient lists."""
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def integer_coeffs(*polys: EpsPoly) -> "list[list[int]]":
+    """The coefficient lists of polys, all times the lcm of their coefficient
+    denominators, so their ratios are kept."""
+    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
+
+
+def _trim(v: "Sequence[int]") -> "list[int]":
+    v = list(v)
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
 def _primitive(v: "list[int]") -> "list[int]":
     g = 0
     for x in v:
@@ -194,6 +228,36 @@ def _pseudo_rem(a: "list[int]", b: "list[int]") -> "list[int]":
     return r
 
 
+def _int_gcd(u: "list[int]", v: "list[int]") -> "list[int]":
+    """A primitive gcd of two nonzero trimmed integer polynomials, by a
+    primitive-remainder sequence."""
+    u, v = _primitive(u), _primitive(v)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        u, v = v, _primitive(_pseudo_rem(u, v))
+    return u
+
+
+def _exact_quo(a: "list[int]", b: "list[int]") -> "list[int]":
+    """a / b on integers, for a primitive b that divides a over Q (by Gauss's
+    lemma the quotient then has integer coefficients)."""
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quo = [0] * (len(rem) - db)
+    for shift in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[shift + db], lead)
+        if r:
+            raise InvariantBreach("inexact integer polynomial division")
+        quo[shift] = q
+        if q:
+            for i, c in enumerate(b):
+                rem[shift + i] -= q * c
+    if any(rem[:db]):
+        raise InvariantBreach("inexact integer polynomial division")
+    return quo
+
+
 def poly_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     """Monic gcd over Q (gcd(0, 0) = 0).
 
@@ -205,19 +269,7 @@ def poly_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
         return b if b.is_zero else b.scale(1 / b.coeffs[-1])
     if b.is_zero:
         return a.scale(1 / a.coeffs[-1])
-
-    def to_int(p: EpsPoly) -> "list[int]":
-        scale = 1
-        for c in p.coeffs:
-            scale = scale * c.denominator // igcd(scale, c.denominator)
-        return [int(c * scale) for c in p.coeffs]
-
-    u, v = _primitive(to_int(a)), _primitive(to_int(b))
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        r = _pseudo_rem(u, v)
-        u, v = v, _primitive(r)
+    u = _int_gcd(*integer_coeffs(a, b))
     return EpsPoly([Fraction(c, u[-1]) for c in u])
 
 
@@ -270,6 +322,28 @@ class EpsRat:
     @classmethod
     def from_rat(cls, x: RatLike) -> "EpsRat":
         return cls(EpsPoly((_as_fraction(x),)))
+
+    @classmethod
+    def from_integers(cls, num: "Sequence[int]", den: "Sequence[int]") -> "EpsRat":
+        """num/den for integer coefficient lists, lowest degree first.
+
+        The gcd is taken on the integer lists before any EpsPoly is built, so
+        only the reduced quotient has to fit the degree guard.
+        """
+        num, den = _trim(num), _trim(den)
+        if not den:
+            raise DivisionByZero("zero denominator in Q(e)")
+        if not num:
+            return cls(_ZERO_POLY)
+        if len(num) > 1 and len(den) > 1:
+            g = _int_gcd(num, den)
+            if len(g) > 1:
+                num, den = _exact_quo(num, g), _exact_quo(den, g)
+        c = next(x for x in den if x)
+        out = cls.__new__(cls)
+        out.num = EpsPoly([Fraction(x, c) for x in num])
+        out.den = EpsPoly([Fraction(x, c) for x in den])
+        return out
 
     @staticmethod
     def coerce(x: "EpsRatLike") -> "EpsRat":
@@ -462,11 +536,7 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
     for num, den in parts:
         poly = list(num)
         for other in dens - {den}:
-            prod = [Fraction(0)] * (len(poly) + len(other) - 1)
-            for i, x in enumerate(poly):
-                for j, y in enumerate(other):
-                    prod[i + j] += x * y
-            poly = prod
+            poly = poly_mul(poly, other)
         scaled.append(poly)
     scale = lcm(*(x.denominator for poly in scaled for x in poly))
     levels = max(len(poly) for poly in scaled)

@@ -31,19 +31,29 @@ One enumerator, `_multiplicities`, walks the multiplicity vectors over the
 value groups of one or two weight vectors with packed incremental sums, and
 drives the walls, the crossings and the chamber predicates.  Q(e) values
 are built only for output: one parameter u0 and one crossing point per
-distinct u0, from integer polynomials.
+distinct u0, from integer polynomials that are reduced by their gcd on
+integers first (`EpsRat.from_integers`), so only the reduced values have to
+fit the degree guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from itertools import combinations, groupby, product, zip_longest
+from itertools import combinations, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .epsfield import EPS, ZERO, EpsPoly, EpsRat, EpsRatLike, clear_denominators
+from .epsfield import (
+    EPS,
+    ZERO,
+    EpsRat,
+    EpsRatLike,
+    clear_denominators,
+    integer_coeffs,
+    poly_add,
+    poly_mul,
+)
 from .errors import BadParameters, DimensionMismatch, SizeGuard
 
 #: Subset enumeration refuses to run past this many coordinates.
@@ -272,22 +282,6 @@ def _expand_subsets(groups, multiplicities) -> Iterator[frozenset[int]]:
         yield frozenset(i for chunk in pick for i in chunk)
 
 
-# -- integer polynomials, lowest degree first ---------------------------------------
-
-
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
-    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 # -- walls and crossings -------------------------------------------------------------
 
 
@@ -340,9 +334,12 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         sign = 1 if s2 > first * unit2 else -1
         start = _unpack(s, low.bits, len(low.unit))
         end = _unpack(s2, low2.bits, len(low2.unit))
-        den = [sign * x for x in _add(_mul(end, low.unit), _mul(start, low2.unit), -1)]
+        den = [
+            sign * x
+            for x in poly_add(poly_mul(end, low.unit), poly_mul(start, low2.unit), -1)
+        ]
         for k in range(first, last + 1):
-            num = _mul(_unpack(k * unit - s, low.bits, len(low.unit)), low2.unit)
+            num = poly_mul(_unpack(k * unit - s, low.bits, len(low.unit)), low2.unit)
             found.append(([sign * x for x in num], den, k, mult))
     # Every num and den has len(D) + len(D2) - 1 coefficients.  Evaluated at
     # e = 1/B, with B above twice any coefficient of num*den2 - num2*den,
@@ -357,15 +354,15 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         ),
         key=itemgetter(0),
     )
-    forms = [
-        _on_integers(b.entries[indices[0] - 1]) + _on_integers(b2.entries[indices[0] - 1])
-        for _, indices in groups
-    ]
+    forms = []
+    for _, indices in groups:
+        x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
+        forms.append(integer_coeffs(x.num, x.den) + integer_coeffs(y.num, y.den))
     crossings = []
     for _, run in groupby(keyed, key=itemgetter(0)):
         run = list(run)
         _, num, den, _, _ = run[0]
-        u0 = EpsRat(EpsPoly(num), EpsPoly(den))
+        u0 = EpsRat.from_integers(num, den)
         point = _crossing_point(b, groups, forms, u0)
         batch = [
             Crossing(Wall(I, k), u0, point)
@@ -377,23 +374,17 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
     return crossings
 
 
-def _on_integers(x: EpsRat) -> tuple[list[int], list[int]]:
-    """x.num and x.den, both times the lcm of their coefficient denominators."""
-    scale = lcm(*(c.denominator for c in x.num.coeffs + x.den.coeffs))
-    return [int(c * scale) for c in x.num.coeffs], [int(c * scale) for c in x.den.coeffs]
-
-
 def _crossing_point(b, groups, forms, u0: EpsRat) -> WeightVector:
     """(1-u0)*b + u0*b2.  With u0 = u/v and forms[g] = (x.num, x.den, y.num,
     y.den) on integers for the entries x of b and y of b2 in group g, the
     entry is (x.num*y.den*(v - u) + y.num*x.den*u) / (x.den*y.den*v): built
     from the entries' own reduced forms, so its degree stays near u0's."""
-    u, v = _on_integers(u0)
-    w = _add(v, u, -1)
+    u, v = integer_coeffs(u0.num, u0.den)
+    w = poly_add(v, u, -1)
     entries = [ZERO] * b.n
     for (_, indices), (xn, xd, yn, yd) in zip(groups, forms):
-        top = _add(_mul(_mul(xn, yd), w), _mul(_mul(yn, xd), u))
-        value = EpsRat(EpsPoly(top), EpsPoly(_mul(_mul(xd, yd), v)))
+        top = poly_add(poly_mul(poly_mul(xn, yd), w), poly_mul(poly_mul(yn, xd), u))
+        value = EpsRat.from_integers(top, poly_mul(poly_mul(xd, yd), v))
         for j in indices:
             entries[j - 1] = value
     return WeightVector(b.d, b.n, entries)

@@ -15,10 +15,12 @@ from wallcross.epsfield import (
     EpsRat,
     eps_arith,
     eps_cmp,
+    integer_coeffs,
     parse_eps_rat,
     parse_poly,
     parse_rat,
     poly_gcd,
+    poly_mul,
     positivity_radius,
 )
 from wallcross.errors import (
@@ -138,6 +140,34 @@ def test_degree_guard():
     big = EpsRat(EpsPoly([0] * 40 + [1]))  # e^40
     with pytest.raises(DegreeOverflow):
         big * big  # degree 80 before any reduction could happen
+
+
+def test_from_integers_is_the_normal_form():
+    rng = random.Random(5)
+    for _ in range(100):
+        x, y = random_eps_rat(rng), random_eps_rat(rng)
+        if y.is_zero:
+            continue
+        q = x / y
+        num, den = integer_coeffs(x.num * y.den, x.den * y.num)
+        assert EpsRat.from_integers(num, den) == q
+        assert EpsRat.from_integers(num, den).den.lowest_coeff() == 1
+    assert EpsRat.from_integers([0, 0], [3]) == ZERO
+    assert EpsRat.from_integers([3], [6, 0]) == EpsRat.from_rat(Fraction(1, 2))
+    with pytest.raises(DivisionByZero):
+        EpsRat.from_integers([1], [0])
+
+
+def test_from_integers_reduces_past_the_degree_guard():
+    # (1 - e)(1 + e)^40 / (1 + e)^41: degree 41 and 41 before the gcd.
+    power = [1]
+    for _ in range(40):
+        power = poly_mul(power, [1, 1])
+    x = EpsRat.from_integers(poly_mul(power, [2, -2]), poly_mul(power, [2, 2]))
+    assert x == (1 - EPS) / (1 + EPS)
+    power = poly_mul(power, power)  # degree 80
+    x = EpsRat.from_integers(poly_mul(power, [0, 1]), poly_mul(power, [1, 1]))
+    assert x == EPS / (1 + EPS)
 
 
 # -- field and order axioms -----------------------------------------------------

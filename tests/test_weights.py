@@ -259,6 +259,19 @@ def test_segment_walls_with_high_degree_denominators():
         )
 
 
+def test_segment_walls_with_shared_denominator_factors():
+    # Entries 1/(1+e)^k, k = 1..8: the distinct denominators share factors, so
+    # their product (1+e)^36 is far above their lcm and u0 is first formed
+    # from polynomials of degree 72.  Only the reduced u0 has to pass the
+    # degree guard, as in the Q(e) loops.  (Kept out of the differential
+    # corpus: its reference chamber predicates alone take seconds.)
+    b = WeightVector(1, 8, [1 / (1 + e) ** k for k in range(1, 9)])
+    b2 = WeightVector(1, 8, [Fraction(6, 7) / (1 + e) ** k for k in range(1, 9)])
+    crossings = segment_walls(b, b2)
+    assert len(crossings) == 8
+    assert _crossing_text(crossings) == _crossing_text(ref_segment_walls(b, b2))
+
+
 def test_segment_rejects_equal_endpoints():
     t = t_weights(2, 6)
     with pytest.raises(BadParameters):
@@ -492,6 +505,15 @@ def _packing_pair():
     return b, b2
 
 
+def _sort_key_pair():
+    """Crossings at u0 = 1/(5 - 4000e) and at u0 = 1/3, among others: the
+    constant parts decide their order, but the e-part is large enough to
+    reverse it when the sort keys evaluate u0 at too large an e."""
+    b = WeightVector(1, 4, [Fraction(1, 2)] + [Fraction(1, 4)] * 3)
+    b2 = WeightVector(1, 4, [1 - 1000 * e, 1, 1, 1])
+    return b, b2
+
+
 def _differential_corpus():
     rng = random.Random(21)
     pairs = [
@@ -509,7 +531,8 @@ def _differential_corpus():
         pairs.append((_den_vector(rng, 1, n), random_weight_vector(rng, 1, n, True)))
     for d in (1, 2, 3):
         pairs.append(_few_valued_pair(rng, d, 9))
-    return [(b, b2) for b, b2 in pairs + [_packing_pair()] if b != b2]
+    pairs += [_packing_pair(), _sort_key_pair()]
+    return [(b, b2) for b, b2 in pairs if b != b2]
 
 
 def test_integer_lowering_matches_the_qe_loops():
