@@ -95,6 +95,14 @@ def _primitive_direction(row: Sequence[Rat]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def check_size(n: int, size_guard: int = MAX_FLAT_COORDS) -> None:
+    """Refuse flat enumeration past size_guard hyperplanes."""
+    if n > size_guard:
+        raise SizeGuard(
+            "flat enumeration capped at n <= %d (pass size_guard to raise)" % size_guard
+        )
+
+
 def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
     """All nonempty intersection flats, each with maximal support.
 
@@ -106,10 +114,7 @@ def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
     primitive integer rows (fraction-free rank tests); the stored basis is
     the RREF of the generating rows over Q, a canonical row-space key.
     """
-    if arr.n > size_guard:
-        raise SizeGuard(
-            "flat enumeration capped at n <= %d (pass size_guard to raise)" % size_guard
-        )
+    check_size(arr.n, size_guard)
     directions = [_primitive_direction(row) for row in arr.rows]
     by_direction: dict[tuple[int, ...], list[int]] = {}
     for i, direction in enumerate(directions):

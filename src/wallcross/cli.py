@@ -137,10 +137,16 @@ def _resolve_eps(args) -> EpsRat:
     return EPS
 
 
-def _resolve_weights(spec: str, args, eps: EpsRat) -> weights.WeightVector:
+def _resolve_weights(
+    spec: str, args, eps: EpsRat, check_size=weights.check_size
+) -> weights.WeightVector:
+    """A named weight vector or one read from a file.  A named vector has n
+    entries from --n alone, so check_size, the size guard of the module the
+    vector is for, runs before it is built."""
     if spec in ("t", "nt"):
         if args.d is None or args.n is None:
             raise ParseError("--d and --n are required with named weights")
+        check_size(args.n)
         maker = weights.t_weights if spec == "t" else weights.nt_weights
         return maker(args.d, args.n, eps)
     wv = weight_vector_from_json(_load_json(spec))
@@ -213,9 +219,13 @@ def cmd_chamber(args) -> int:
 
 def cmd_stability(args) -> int:
     eps = _resolve_eps(args)
+    # Named weights have total above d + 1, so is_stable always reaches the
+    # flat enumeration; its guard is checked when they are resolved.
     if args.arrangement == "e_config":
         if args.d is None or args.n is None:
             raise ParseError("--d and --n are required with the e_config arrangement")
+        # Resolved first: e_config builds n rows from --n alone.
+        b = _resolve_weights(args.weights, args, eps, arr_mod.check_size)
         arrangement = arr_mod.e_configuration(args.d, args.n)
     else:
         arrangement = arrangement_from_json(_load_json(args.arrangement))
@@ -224,7 +234,7 @@ def cmd_stability(args) -> int:
         if args.n is not None and args.n != arrangement.n:
             raise ParseError("--n disagrees with the arrangement file")
         args.d, args.n = arrangement.d, arrangement.n
-    b = _resolve_weights(args.weights, args, eps)
+        b = _resolve_weights(args.weights, args, eps, arr_mod.check_size)
     verdict = arr_mod.is_stable(arrangement, b)
     _emit(
         {
@@ -273,17 +283,13 @@ def cmd_ample(args) -> int:
 def cmd_replace(args) -> int:
     eps = _resolve_eps(args)
     doc = _load_json(args.family)
-    try:
-        d = int(doc["d"])
-        order = int(doc["truncation"])
-        raw_members = doc["members"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("malformed family document: %s" % exc) from exc
+    what = "family document"
+    d, order = _json_int(doc, "d", what), _json_int(doc, "truncation", what)
     members = []
-    for row in raw_members:
-        members.append(
-            [jets.JetPoly(jets_coeffs, order) for jets_coeffs in map(_poly_coeffs, row)]
-        )
+    for i, row in enumerate(_json_list(doc, "members", what), 1):
+        if not isinstance(row, list):
+            raise ParseError("member %d must be a JSON list, got %s" % (i, json.dumps(row)))
+        members.append([jets.JetPoly(_poly_coeffs(text), order) for text in row])
     family = jets.JetFamily(d, members)
     n = args.n if args.n is not None else d + 1 + len(family.members)
     model = jets.stable_replacement_model(family, n)
@@ -303,6 +309,7 @@ def cmd_replace(args) -> int:
 
 
 def cmd_mixedsub(args) -> int:
+    mixedsub.check_size(args.m)
     if args.lifting:
         doc = _load_json(args.lifting)
         if not isinstance(doc, list):

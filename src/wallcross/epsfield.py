@@ -31,9 +31,10 @@ Rat = Fraction
 
 RatLike = Union[int, Fraction]
 
-#: Hard cap on polynomial degree.  Nothing in this problem domain exceeds
-#: degree two; a larger degree almost certainly signals a bug upstream.
-#: The parser refuses exponents past it as well.
+#: Hard cap on the degree of a stored polynomial, so a runaway computation
+#: fails fast.  The weights and liftings of this problem domain stay at low
+#: degree; only reduced values are checked, and the parser refuses exponents
+#: past the cap.
 MAX_EPS_DEGREE = 64
 
 #: The parser refuses integer literals longer than this, well below the
@@ -111,55 +112,20 @@ class EpsPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return EpsPoly(out)
+        return EpsPoly(poly_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "EpsPoly":
         return EpsPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return self + (-other)
+        return EpsPoly(poly_add(self.coeffs, other.coeffs, -1))
 
     def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return EpsPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return EpsPoly(out)
+        return EpsPoly(poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c: RatLike) -> "EpsPoly":
         c = _as_fraction(c)
         return EpsPoly(tuple(c * x for x in self.coeffs))
-
-    def divmod(self, other: "EpsPoly") -> "tuple[EpsPoly, EpsPoly]":
-        """Polynomial long division over Q; other must be nonzero."""
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lead = other.degree, other.coeffs[-1]
-        quo = [Fraction(0)] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < db:
-                break
-            shift = len(rem) - 1 - db
-            q = rem[-1] / lead
-            quo[shift] = q
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= q * c
-            rem.pop()
-        return EpsPoly(quo), EpsPoly(rem)
 
     def __call__(self, x: RatLike) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
@@ -277,72 +243,66 @@ _ZERO_POLY = EpsPoly()
 _ONE_POLY = EpsPoly((1,))
 
 
+def _normal_form(num: "Sequence[int]", den: "Sequence[int]") -> "tuple[EpsPoly, EpsPoly]":
+    """The normal form of num/den for integer coefficient lists, lowest
+    degree first: the one reduction behind every EpsRat.
+
+    The gcd is taken on the integer lists before any EpsPoly is built, so
+    only the reduced quotient has to fit the degree guard.
+    """
+    num, den = _trim(num), _trim(den)
+    if not den:
+        raise DivisionByZero("zero denominator in Q(e)")
+    if not num:
+        return _ZERO_POLY, _ONE_POLY
+    if len(num) > 1 and len(den) > 1:
+        g = _int_gcd(num, den)
+        if len(g) > 1:
+            num, den = _exact_quo(num, g), _exact_quo(den, g)
+    c = next(x for x in den if x)
+    return EpsPoly([Fraction(x, c) for x in num]), EpsPoly([Fraction(x, c) for x in den])
+
+
+def _cmp(a: "EpsRat", b: "EpsRat") -> int:
+    """The sign of a - b near e = 0: the lexicographic sign of
+    a.num*b.den - b.num*a.den on integers.  Both denominators are positive
+    near 0, so no gcd or normalisation is needed."""
+    an, ad, bn, bd = integer_coeffs(a.num, a.den, b.num, b.den)
+    for x in poly_add(poly_mul(an, bd), poly_mul(bn, ad), -1):
+        if x:
+            return 1 if x > 0 else -1
+    return 0
+
+
 class EpsRat:
     """Element of Q(e), kept as a reduced fraction of EpsPoly.
 
     Normal form: gcd(num, den) = 1 and the lowest-degree nonzero coefficient
     of den equals +1, which makes equality structural and the sign of the
-    element readable off the numerator's lowest-degree coefficient.
+    element readable off the numerator's lowest-degree coefficient.  The
+    constructor and the field operations all reach it through one routine on
+    integer coefficient lists (`_normal_form`).
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: EpsPoly, den: EpsPoly = _ONE_POLY):
-        if den.is_zero:
-            raise DivisionByZero("zero denominator in Q(e)")
-        if num.is_zero:
-            self.num = _ZERO_POLY
-            self.den = _ONE_POLY
-            return
-        if den.degree == 0:
-            # Constant denominators are absorbed outright; no gcd needed.
-            c = den.coeffs[0]
-            self.num = num if c == 1 else num.scale(1 / c)
-            self.den = _ONE_POLY
-            return
-        if num.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-                if den.degree == 0:
-                    c = den.coeffs[0]
-                    self.num = num if c == 1 else num.scale(1 / c)
-                    self.den = _ONE_POLY
-                    return
-        c = den.lowest_coeff()
-        if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
-        self.num = num
-        self.den = den
+        self.num, self.den = _normal_form(*integer_coeffs(num, den))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rat(cls, x: RatLike) -> "EpsRat":
-        return cls(EpsPoly((_as_fraction(x),)))
+        # x/1 is already in normal form.
+        out = cls.__new__(cls)
+        out.num, out.den = EpsPoly((_as_fraction(x),)), _ONE_POLY
+        return out
 
     @classmethod
     def from_integers(cls, num: "Sequence[int]", den: "Sequence[int]") -> "EpsRat":
-        """num/den for integer coefficient lists, lowest degree first.
-
-        The gcd is taken on the integer lists before any EpsPoly is built, so
-        only the reduced quotient has to fit the degree guard.
-        """
-        num, den = _trim(num), _trim(den)
-        if not den:
-            raise DivisionByZero("zero denominator in Q(e)")
-        if not num:
-            return cls(_ZERO_POLY)
-        if len(num) > 1 and len(den) > 1:
-            g = _int_gcd(num, den)
-            if len(g) > 1:
-                num, den = _exact_quo(num, g), _exact_quo(den, g)
-        c = next(x for x in den if x)
+        """num/den for integer coefficient lists, lowest degree first."""
         out = cls.__new__(cls)
-        out.num = EpsPoly([Fraction(x, c) for x in num])
-        out.den = EpsPoly([Fraction(x, c) for x in den])
+        out.num, out.den = _normal_form(num, den)
         return out
 
     @staticmethod
@@ -374,25 +334,38 @@ class EpsRat:
         return 1 if self.num.lowest_coeff() > 0 else -1
 
     # -- field operations ------------------------------------------------------
+    #
+    # Each binary operation lowers both operands to integer lists with one
+    # common positive scale, which every quotient below is homogeneous in,
+    # and normalises the result once.
 
     def __add__(self, other: "EpsRatLike") -> "EpsRat":
         try:
             o = EpsRat.coerce(other)
         except TypeError:
             return NotImplemented
-        return EpsRat(self.num * o.den + o.num * self.den, self.den * o.den)
+        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
+        return EpsRat.from_integers(
+            poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "EpsRat":
-        return EpsRat(-self.num, self.den)
+        # Negating the numerator keeps the normal form.
+        out = EpsRat.__new__(EpsRat)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __sub__(self, other: "EpsRatLike") -> "EpsRat":
         try:
             o = EpsRat.coerce(other)
         except TypeError:
             return NotImplemented
-        return EpsRat(self.num * o.den - o.num * self.den, self.den * o.den)
+        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
+        return EpsRat.from_integers(
+            poly_add(poly_mul(an, bd), poly_mul(bn, ad), -1), poly_mul(ad, bd)
+        )
 
     def __rsub__(self, other: "EpsRatLike") -> "EpsRat":
         return EpsRat.coerce(other) - self
@@ -402,7 +375,8 @@ class EpsRat:
             o = EpsRat.coerce(other)
         except TypeError:
             return NotImplemented
-        return EpsRat(self.num * o.num, self.den * o.den)
+        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
+        return EpsRat.from_integers(poly_mul(an, bn), poly_mul(ad, bd))
 
     __rmul__ = __mul__
 
@@ -413,7 +387,8 @@ class EpsRat:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero in Q(e)")
-        return EpsRat(self.num * o.den, self.den * o.num)
+        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
+        return EpsRat.from_integers(poly_mul(an, bd), poly_mul(ad, bn))
 
     def __rtruediv__(self, other: "EpsRatLike") -> "EpsRat":
         return EpsRat.coerce(other) / self
@@ -446,16 +421,16 @@ class EpsRat:
         return hash((self.num, self.den))
 
     def __lt__(self, other: "EpsRatLike") -> bool:
-        return (self - EpsRat.coerce(other)).sign() < 0
+        return _cmp(self, EpsRat.coerce(other)) < 0
 
     def __le__(self, other: "EpsRatLike") -> bool:
-        return (self - EpsRat.coerce(other)).sign() <= 0
+        return _cmp(self, EpsRat.coerce(other)) <= 0
 
     def __gt__(self, other: "EpsRatLike") -> bool:
-        return (self - EpsRat.coerce(other)).sign() > 0
+        return _cmp(self, EpsRat.coerce(other)) > 0
 
     def __ge__(self, other: "EpsRatLike") -> bool:
-        return (self - EpsRat.coerce(other)).sign() >= 0
+        return _cmp(self, EpsRat.coerce(other)) >= 0
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -492,7 +467,7 @@ def eps_cmp(a: EpsRatLike, b: EpsRatLike) -> int:
 
     Returns the sign of a - b for every sufficiently small positive rational e.
     """
-    return (EpsRat.coerce(a) - EpsRat.coerce(b)).sign()
+    return _cmp(EpsRat.coerce(a), EpsRat.coerce(b))
 
 
 def eps_arith(a: EpsRatLike, b: EpsRatLike, op: str) -> EpsRat:
@@ -519,8 +494,9 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
     """Integer coefficient vectors, all of one length, of the values times
     one common factor D*L that is positive near e = 0.
 
-    Each denominator in normal form has lowest coefficient +1, so the
-    product D of the distinct denominators is positive near 0; L is the lcm
+    D is the lcm of the denominators, as a primitive integer polynomial
+    whose lowest nonzero coefficient is positive; each denominator in normal
+    form has lowest coefficient +1, so D is positive near 0.  L is the lcm
     of the rational coefficients' denominators.  Multiplying by a positive
     factor keeps every sign, so the sign of a value, or of a sum of values
     minus k*D*L, is the lexicographic sign of its integer coefficients,
@@ -528,16 +504,22 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
     may pass the EpsPoly degree guard where no value does.
     """
     parts = [
-        (x.num.coeffs or (0,), x.den.coeffs) if isinstance(x, EpsRat) else ((x,), (1,))
+        (x.num.coeffs or (0,), tuple(_primitive(integer_coeffs(x.den)[0])))
+        if isinstance(x, EpsRat)
+        else ((x,), (1,))
         for x in values
     ]
-    dens = set(den for _, den in parts)
+    lcm_den = [1]
+    for den in set(den for _, den in parts):
+        den = list(den)
+        lcm_den = poly_mul(lcm_den, _exact_quo(den, _int_gcd(lcm_den, den)))
+    if next(x for x in lcm_den if x) < 0:
+        lcm_den = [-x for x in lcm_den]
+    # With r > 0 the lowest nonzero coefficient of den, x = num*r/den.
     scaled = []
     for num, den in parts:
-        poly = list(num)
-        for other in dens - {den}:
-            poly = poly_mul(poly, other)
-        scaled.append(poly)
+        r = next(c for c in den if c)
+        scaled.append(poly_mul(num, [r * q for q in _exact_quo(lcm_den, list(den))]))
     scale = lcm(*(x.denominator for poly in scaled for x in poly))
     levels = max(len(poly) for poly in scaled)
     return [

@@ -32,8 +32,13 @@ from .errors import (
     IndistinguishableAtTruncation,
     InsufficientTruncation,
     NotInNormalForm,
+    SizeGuard,
 )
 from .linalg import rref
+
+#: Truncation orders past this are refused: normalising a member inverts and
+#: multiplies jets, at least order^2 operations on growing rationals each.
+MAX_JET_ORDER = 64
 
 
 class JetPoly:
@@ -47,6 +52,10 @@ class JetPoly:
             order = len(cs)
         if order < 1:
             raise BadParameters("truncation order must be at least 1")
+        if order > MAX_JET_ORDER:
+            raise SizeGuard(
+                "truncation order %d exceeds the cap of %d" % (order, MAX_JET_ORDER)
+            )
         if len(cs) > order:
             cs = cs[:order]
         else:

@@ -250,6 +250,12 @@ def _lower_cells(
     return cells
 
 
+def check_size(m: int) -> None:
+    """Refuse subdivisions of more than MAX_COPIES copies."""
+    if m > MAX_COPIES:
+        raise SizeGuard("mixed subdivisions capped at m <= %d" % MAX_COPIES)
+
+
 def regular_mixed_subdivision(
     d: int, m: int, lifting: Sequence[Height]
 ) -> MixedSubdivision:
@@ -262,8 +268,8 @@ def regular_mixed_subdivision(
 
     Every lifting is lowered to integers before the one hull scan: each
     height num/den has den's lowest coefficient +1 (a rational has den = 1),
-    so the product D of the distinct denominators is positive near e = 0,
-    and an integer lcm L clears the rational coefficients of each h*D.
+    so the lcm D of the denominators is positive near e = 0, and an
+    integer lcm L clears the rational coefficients of each h*D.
     Scaling all heights by one positive D*L keeps the lower hull, and a sign
     in Q(e) is taken power of e by power of e on the integer coefficients.
     """
@@ -271,8 +277,7 @@ def regular_mixed_subdivision(
         raise BadParameters("mixed subdivisions implemented for d in {1, 2}")
     if m < 1:
         raise BadParameters("need m >= 1")
-    if m > MAX_COPIES:
-        raise SizeGuard("mixed subdivisions capped at m <= %d" % MAX_COPIES)
+    check_size(m)
     heights = tuple(
         x if isinstance(x, EpsRat) else Fraction(x) for x in lifting
     )

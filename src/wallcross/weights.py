@@ -16,10 +16,10 @@ those incidences are the ones the closed-form statements describe.
 
 Every incidence is decided on integers.  On first use a weight vector is
 lowered once (`clear_denominators`): each entry is multiplied by one common
-factor D*L, the product D of the distinct entry denominators times an
-integer lcm L.  Each denominator has lowest coefficient +1, so D*L is
-positive near e = 0 and keeps every sign.  Entry i becomes an integer
-coefficient vector N_i and level k becomes k*D*L, so the sign of
+factor D*L, the lcm D of the entry denominators times an integer lcm L.
+Each denominator has lowest coefficient +1, so D*L is positive near e = 0
+and keeps every sign.  Entry i becomes an integer coefficient vector N_i
+and level k becomes k*D*L, so the sign of
 sum_I b_i - k is the lexicographic sign, lowest degree first, of
 sum_I N_i - k*D*L.  Each vector is packed into one int in base 2^bits,
 lowest degree in the most significant digit.  The base exceeds twice the
@@ -94,7 +94,7 @@ class WeightVector:
         if len(vals) != n:
             raise DimensionMismatch("expected %d entries, got %d" % (n, len(vals)))
         for i, x in enumerate(vals):
-            if x.sign() <= 0 or (x - 1).sign() > 0:
+            if x.sign() <= 0 or x > 1:
                 raise BadParameters("entry %d = %s is outside (0, 1]" % (i + 1, x))
         self.d = d
         self.n = n
@@ -178,11 +178,13 @@ def wall_value(wall: Wall, b: WeightVector) -> EpsRat:
     return acc
 
 
-def _guard(n: int) -> None:
+def check_size(n: int) -> None:
+    """Refuse subset enumeration past MAX_WALL_COORDS coordinates, stating
+    the subset count (exactly while it is short)."""
     if n > MAX_WALL_COORDS:
+        count = "2^%d = %s" % (n, format(2**n, ",")) if n <= 64 else "2^%d" % n
         raise SizeGuard(
-            "n = %d would scan 2^%d = %s subsets; capped at n <= %d"
-            % (n, n, format(2**n, ","), MAX_WALL_COORDS)
+            "n = %d would scan %s subsets; capped at n <= %d" % (n, count, MAX_WALL_COORDS)
         )
 
 
@@ -290,7 +292,7 @@ def walls_containing(b: WeightVector) -> list[Wall]:
 
     Exhaustive over the value-multiset compression of b; guarded at n <= 20.
     """
-    _guard(b.n)
+    check_size(b.n)
     low = _lowered(b)
     groups = _value_groups(low)
     found = []
@@ -315,7 +317,7 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         raise DimensionMismatch("weight vectors live in different domains")
     if b == b2:
         raise BadParameters("segment endpoints coincide")
-    _guard(b.n)
+    check_size(b.n)
     low, low2 = _lowered(b), _lowered(b2)
     unit, unit2 = low.packed_unit, low2.packed_unit
     groups = _value_groups(low, low2)
@@ -426,7 +428,7 @@ def _chamber_levels(groups, lows, d: int, n: int):
 
 def sign_vector(b: WeightVector) -> SignVector:
     """Signs of b against every chamber wall; the chamber certificate."""
-    _guard(b.n)
+    check_size(b.n)
     lows = (_lowered(b),)
     groups = _value_groups(*lows)
     group_of = {i: g for g, (_, indices) in enumerate(groups) for i in indices}
@@ -446,7 +448,7 @@ def _pair_levels(b: WeightVector, b2: WeightVector):
     """The chamber-wall signs of b and of b2, one multiplicity vector at a time."""
     if (b.d, b.n) != (b2.d, b2.n):
         raise DimensionMismatch("weight vectors live in different domains")
-    _guard(b.n)
+    check_size(b.n)
     lows = (_lowered(b), _lowered(b2))
     for _, levels in _chamber_levels(_value_groups(*lows), lows, b.d, b.n):
         yield levels
@@ -475,4 +477,4 @@ def leq(b: WeightVector, b2: WeightVector) -> bool:
     """Entrywise order in Q(e): b_i <= b2_i for every coordinate."""
     if (b.d, b.n) != (b2.d, b2.n):
         raise DimensionMismatch("weight vectors live in different domains")
-    return all((x - y).sign() <= 0 for x, y in zip(b.entries, b2.entries))
+    return all(x <= y for x, y in zip(b.entries, b2.entries))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wallcross import cli
 from wallcross.cli import main
 
 
@@ -253,3 +254,54 @@ def test_numeric_pairing_matrix_entries(capsys, tmp_path):
     path.write_text(json.dumps({"matrix": [[0, 1], [1, 0]], "divisor": ["1", "1"]}))
     err = _one_line_error(capsys, ["ample", "--model", "pairing", str(path)])
     assert "expected a rational number" in err
+
+
+def test_size_guard_message_at_large_n(capsys):
+    # 2^n past 4300 digits cannot be printed in full; the guard still reports.
+    argv = ["walls", "--weights", "t", "--d", "1", "--n", "15000"]
+    assert "n = 15000 would scan 2^15000 subsets" in _one_line_error(capsys, argv)
+    argv = ["segment", "--from", "t", "--to", "nt", "--d", "1", "--n", "20000"]
+    assert "capped at n <= 20" in _one_line_error(capsys, argv)
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise RuntimeError("built an input that its size guard refuses")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["walls", "--weights", "t", "--d", "1", "--n", "21"], "capped at n <= 20"),
+        (["segment", "--from", "t", "--to", "nt", "--d", "1", "--n", "21"], "capped at n <= 20"),
+        (["chamber", "--first", "nt", "--second", "t", "--d", "1", "--n", "21"], "capped at n <= 20"),
+        (["stability", "e_config", "--weights", "t", "--d", "1", "--n", "200000"], "n <= 16"),
+        (["stability", "e_config", "--weights", "nt", "--d", "1", "--n", "17"], "n <= 16"),
+        (["mixedsub", "--d", "1", "--m", "300000", "--random", "1"], "m <= 6"),
+    ],
+)
+def test_guards_run_before_the_input_is_built(capsys, monkeypatch, argv, message):
+    for name in ("t_weights", "nt_weights"):
+        monkeypatch.setattr(cli.weights, name, _refuse_to_build)
+    monkeypatch.setattr(cli.arr_mod, "e_configuration", _refuse_to_build)
+    monkeypatch.setattr(cli, "Fraction", _refuse_to_build)
+    assert message in _one_line_error(capsys, argv)
+
+
+FAMILY = {"d": 2, "truncation": 3, "members": [["t", "1", "2*t"], ["2*t", "1", "5*t"]]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"members": 5}, "'members' must be a JSON list"),
+        ({"members": [5]}, "member 1 must be a JSON list"),
+        ({"members": [["t", 1, "2*t"]]}, "expected an expression string"),
+        ({"d": None}, "'d' must be an integer"),
+        ({"truncation": "three"}, "'truncation' must be an integer"),
+        ({"truncation": 800}, "truncation order 800 exceeds the cap of 64"),
+    ],
+)
+def test_malformed_family_documents(capsys, tmp_path, change, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**FAMILY, **change}))
+    assert message in _one_line_error(capsys, ["replace", str(path)])

@@ -13,8 +13,10 @@ from wallcross.epsfield import (
     ZERO,
     EpsPoly,
     EpsRat,
+    clear_denominators,
     eps_arith,
     eps_cmp,
+    format_poly,
     integer_coeffs,
     parse_eps_rat,
     parse_poly,
@@ -168,6 +170,205 @@ def test_from_integers_reduces_past_the_degree_guard():
     power = poly_mul(power, power)  # degree 80
     x = EpsRat.from_integers(poly_mul(power, [0, 1]), poly_mul(power, [1, 1]))
     assert x == EPS / (1 + EPS)
+
+
+def test_clear_denominators_uses_the_lcm():
+    # Entries 1/(1+e)^k, k = 1..8, lowered with the lcm (1+e)^8 of their
+    # denominators, not their product (1+e)^36.
+    vectors = clear_denominators([1 / (1 + e) ** k for k in range(1, 9)] + [1])
+    assert [len(v) for v in vectors] == [9] * 9
+    assert vectors[-1] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+    assert vectors[0] == [1, 7, 21, 35, 35, 21, 7, 1, 0]
+    # The lcm of 1+e, 1-e and 1-e^2 is 1-e^2, positive near 0.
+    vectors = clear_denominators([1 / (1 + e), 1 / (1 - e), 1 / (1 - e**2), 1])
+    assert vectors == [[1, -1, 0], [1, 1, 0], [1, 0, 0], [1, 0, -1]]
+    assert clear_denominators([1 / (1 + e), 1 / (1 - e), 1]) == [
+        [1, -1, 0],
+        [1, 1, 0],
+        [1, 0, -1],
+    ]
+    # 1/(2+3e) = (1/2)/(1 + 3/2*e): its primitive denominator is 2+3e.
+    assert clear_denominators([1 / (2 + 3 * e), 1]) == [[1, 0], [2, 3]]
+    # Rational values keep length one; rational coefficients are cleared.
+    assert clear_denominators([Fraction(1, 2), 3, ZERO]) == [[1], [6], [0]]
+    assert clear_denominators([(1 + e) / 2, e**2 / (3 - 3 * e)]) == [
+        [3, 0, -3],
+        [0, 0, 2],
+    ]
+
+
+# -- the Fraction-route reference ---------------------------------------------------
+#
+# The Q(e) arithmetic and order as they ran before they moved onto integer
+# coefficient lists: products and sums of Fraction coefficients, a monic gcd
+# by Euclid's algorithm over Q, long division by it, and the sign of the
+# difference for the order.  Values are (num, den) pairs of Fraction tuples.
+
+
+def _ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(Fraction(c) for c in p)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quo = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+        rem = list(_ref_trim(rem[:-1]))
+    return _ref_trim(quo), _ref_trim(rem)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_normal(num, den):
+    num, den = _ref_trim(num), _ref_trim(den)
+    assert den
+    if not num:
+        return (), (Fraction(1),)
+    g = _ref_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    c = next(x for x in den if x)
+    return tuple(x / c for x in num), tuple(x / c for x in den)
+
+
+def ref_arith(a, b, op):
+    (an, ad), (bn, bd) = a, b
+    if op == "add":
+        return ref_normal(_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad)), _ref_mul(ad, bd))
+    if op == "sub":
+        return ref_normal(_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad), -1), _ref_mul(ad, bd))
+    if op == "mul":
+        return ref_normal(_ref_mul(an, bn), _ref_mul(ad, bd))
+    return ref_normal(_ref_mul(an, bd), _ref_mul(ad, bn))
+
+
+def ref_cmp(a, b):
+    num, _ = ref_arith(a, b, "sub")
+    lowest = next((c for c in num if c), 0)
+    return (lowest > 0) - (lowest < 0)
+
+
+def ref_str(value):
+    num, den = value
+    if den == (1,):
+        return format_poly(num)
+    return "(%s)/(%s)" % (format_poly(num), format_poly(den))
+
+
+def random_raw_operand(rng):
+    """Unreduced (num, den) coefficient lists: den = 1, a constant den, c*e^k,
+    c/e^k, or a general quotient, sometimes with a shared factor."""
+
+    def coeff(nonzero=False):
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return c if c or not nonzero else Fraction(1)
+
+    def poly(terms):
+        return [coeff() for _ in range(rng.randint(1, terms))]
+
+    kind = rng.randrange(5)
+    k = rng.randint(1, 5)
+    if kind == 0:
+        num, den = poly(4), [1]
+    elif kind == 1:
+        num, den = poly(4), [coeff(nonzero=True)]
+    elif kind == 2:
+        num, den = [0] * k + [coeff(nonzero=True)], [1]
+    elif kind == 3:
+        num, den = poly(2), [0] * k + [coeff(nonzero=True)] + poly(2)
+    else:
+        num, den = poly(3), poly(3)
+        if rng.random() < 0.4:
+            shared = poly(2) + [1]
+            num, den = _ref_mul(num, shared), _ref_mul(den, shared)
+    if not _ref_trim(den):
+        den = [1]
+    return num, den
+
+
+def _pair(rng):
+    raw = random_raw_operand(rng)
+    return EpsRat(EpsPoly(raw[0]), EpsPoly(raw[1])), ref_normal(*raw)
+
+
+def _assert_same(x, ref):
+    assert (x.num.coeffs, x.den.coeffs) == ref
+    assert str(x) == ref_str(ref)
+
+
+def test_integer_route_matches_the_fraction_route():
+    rng = random.Random(11)
+    ops = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+           "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
+    for _ in range(400):
+        (a, ra), (b, rb) = _pair(rng), _pair(rng)
+        _assert_same(a, ra)
+        _assert_same(-a, ref_normal(tuple(-c for c in ra[0]), ra[1]))
+        for name, op in ops.items():
+            if name == "div" and b.is_zero:
+                continue
+            _assert_same(op(a, b), ref_arith(ra, rb, name))
+        c = ref_cmp(ra, rb)
+        assert eps_cmp(a, b) == c
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert (a == b) == (c == 0)
+
+
+def test_sign_and_order_against_sympy_limits():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("e", positive=True)
+
+    def as_sympy(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * s**k
+                   for k, c in enumerate(map(Fraction, coeffs)))
+
+    def limit_sign(expr):
+        """The sign of expr as e -> 0+: that of the first nonzero limit of
+        expr / e^k, k = 0, 1, ..."""
+        expr = sympy.cancel(expr)
+        if expr == 0:
+            return 0
+        for k in range(2 * MAX_EPS_DEGREE + 2):
+            lim = sympy.limit(expr / s**k, s, 0, "+")
+            if lim != 0:
+                return 1 if lim > 0 else -1
+        raise AssertionError("no nonzero limit for %s" % expr)
+
+    rng = random.Random(12)
+    for _ in range(60):
+        raw_a, raw_b = random_raw_operand(rng), random_raw_operand(rng)
+        a = EpsRat(EpsPoly(raw_a[0]), EpsPoly(raw_a[1]))
+        b = EpsRat(EpsPoly(raw_b[0]), EpsPoly(raw_b[1]))
+        sa = as_sympy(raw_a[0]) / as_sympy(raw_a[1])
+        sb = as_sympy(raw_b[0]) / as_sympy(raw_b[1])
+        assert a.sign() == limit_sign(sa)
+        c = limit_sign(sa - sb)
+        assert eps_cmp(a, b) == c
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
 
 
 # -- field and order axioms -----------------------------------------------------

@@ -13,6 +13,7 @@ from wallcross.weights import (
     Wall,
     WeightVector,
     chamber_walls,
+    check_size,
     in_chamber_closure,
     leq,
     nt_weights,
@@ -193,6 +194,15 @@ def test_size_guard():
         assert str(caught.value) == message
 
 
+
+def test_size_guard_past_the_int_digit_limit():
+    # 2^15000 has more digits than int-to-str allows; only the power is shown.
+    with pytest.raises(SizeGuard) as caught:
+        check_size(15000)
+    assert str(caught.value) == "n = 15000 would scan 2^15000 subsets; capped at n <= 20"
+    check_size(20)
+
+
 # -- segment crossings -------------------------------------------------------------
 
 
@@ -261,10 +271,10 @@ def test_segment_walls_with_high_degree_denominators():
 
 def test_segment_walls_with_shared_denominator_factors():
     # Entries 1/(1+e)^k, k = 1..8: the distinct denominators share factors, so
-    # their product (1+e)^36 is far above their lcm and u0 is first formed
-    # from polynomials of degree 72.  Only the reduced u0 has to pass the
-    # degree guard, as in the Q(e) loops.  (Kept out of the differential
-    # corpus: its reference chamber predicates alone take seconds.)
+    # their product (1+e)^36 is far above their lcm (1+e)^8, which the
+    # lowering uses.  Only the reduced u0 has to pass the degree guard, as in
+    # the Q(e) loops.  (Kept out of the differential corpus: its reference
+    # chamber predicates alone take seconds.)
     b = WeightVector(1, 8, [1 / (1 + e) ** k for k in range(1, 9)])
     b2 = WeightVector(1, 8, [Fraction(6, 7) / (1 + e) ** k for k in range(1, 9)])
     crossings = segment_walls(b, b2)
