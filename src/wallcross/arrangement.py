@@ -2,10 +2,18 @@
 
 An arrangement is an n x (d+1) coefficient matrix, one row per hyperplane,
 rows taken up to scale.  Coincident hyperplanes are allowed (the reference
-configuration needs them).  The intersection lattice is built exactly; log
-canonicity of a weighted arrangement reduces to the flat-sum inequality:
-for every nonempty flat, the total weight of the hyperplanes through it
-must not exceed its codimension.
+configuration needs them).  The intersection lattice is built exactly, on
+integers: every row is reduced to a primitive integer direction, and every
+flat of the level walk carries an integer basis of its linear subspace.
+Meeting a flat with a hyperplane is one fraction-free elimination step on
+that basis, and a hyperplane contains the flat exactly when its direction
+is orthogonal to the basis.  The lattice is built once per arrangement and
+kept on it.
+
+Log canonicity of a weighted arrangement reduces to the flat-sum
+inequality: for every nonempty flat, the total weight of the hyperplanes
+through it must not exceed its codimension.  That test runs on the integer
+lowering of the weights (see `weights`): one packed-int comparison per flat.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ from typing import Optional, Sequence
 
 from math import gcd
 
-from .epsfield import EPS, EpsRat, EpsRatLike, Rat
+from .epsfield import EPS, EpsRatLike, Rat
 from .errors import BadParameters, DimensionMismatch, PreconditionViolated, SizeGuard
-from .linalg import bareiss_rank, rref
-from .weights import WeightVector, nt_weights, t_weights
+from .linalg import rref
+from .weights import WeightVector, _lowered, nt_weights, t_weights
 
 #: Flat-lattice construction refuses to run past this many hyperplanes
 #: unless the caller raises the guard explicitly.
@@ -29,7 +37,7 @@ MAX_FLAT_COORDS = 16
 class Arrangement:
     """n hyperplanes in P^d: row i holds the coefficients of H_i."""
 
-    __slots__ = ("d", "n", "rows")
+    __slots__ = ("d", "n", "rows", "_flats")
 
     def __init__(self, d: int, n: int, rows: Sequence[Sequence[Rat]]):
         if d < 1 or n < d + 3:
@@ -49,6 +57,7 @@ class Arrangement:
         self.d = d
         self.n = n
         self.rows = tuple(mat)
+        self._flats = None  # the flat lattice, made on first use
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Arrangement):
@@ -103,52 +112,94 @@ def check_size(n: int, size_guard: int = MAX_FLAT_COORDS) -> None:
         )
 
 
-def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
-    """All nonempty intersection flats, each with maximal support.
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
-    Built level by level: distinct hyperplanes first, then closures of
-    flat-plus-one-hyperplane intersections.  A maximal support determines
-    its flat, so supports double as dedup keys; every flat of the lattice
-    is reached this way because removing one generating hyperplane from a
-    rank-(c+1) flat leaves a rank-c flat.  The internal arithmetic runs on
-    primitive integer rows (fraction-free rank tests); the stored basis is
-    the RREF of the generating rows over Q, a canonical row-space key.
+
+def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
+    """An integer basis of {x in span(kernel) : row.x = 0}, or None when row
+    is orthogonal to all of kernel (the hyperplane contains the flat).
+
+    One fraction-free elimination step: with v_t = row.k_t and a pivot t0
+    where v_t0 != 0, the vectors v_t0*k_t - v_t*k_t0 for t != t0, each with
+    its content divided out.
     """
-    check_size(arr.n, size_guard)
+    vals = [_dot(row, k) for k in kernel]
+    t0 = next((t for t, v in enumerate(vals) if v), None)
+    if t0 is None:
+        return None
+    p, k0 = vals[t0], kernel[t0]
+    out = []
+    for t, (v, k) in enumerate(zip(vals, kernel)):
+        if t != t0:
+            vec = [p * a - v * b for a, b in zip(k, k0)]
+            g = gcd(*vec)
+            out.append(tuple(x // g for x in vec) if g > 1 else tuple(vec))
+    return out
+
+
+def _whole_space(dim: int) -> list[tuple[int, ...]]:
+    return [tuple(int(s == t) for t in range(dim)) for s in range(dim)]
+
+
+def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
+    """The flats of arr in canonical order; see flats."""
+    n = arr.n
     directions = [_primitive_direction(row) for row in arr.rows]
-    by_direction: dict[tuple[int, ...], list[int]] = {}
-    for i, direction in enumerate(directions):
-        by_direction.setdefault(direction, []).append(i + 1)
     result: list[Flat] = []
-    # (flat, generating integer rows) pairs of the current codimension.
-    level: list[tuple[Flat, list[tuple[int, ...]]]] = []
-    for direction, indices in by_direction.items():
-        flat = Flat(1, frozenset(indices), rref([direction]))
-        result.append(flat)
-        level.append((flat, [direction]))
-    seen_supports = {flat.support for flat in result}
-    for codim in range(2, arr.d + 1):
-        next_level: list[tuple[Flat, list[tuple[int, ...]]]] = []
-        for flat, gens in level:
-            for j in range(1, arr.n + 1):
-                if j in flat.support:
+    seen: set[frozenset[int]] = set()
+    # (support, generating rows, kernel basis) of each flat of the current
+    # codimension, starting from the whole space at codimension 0.
+    level = [(frozenset(), [], _whole_space(arr.d + 1))]
+    for codim in range(1, arr.d + 1):
+        next_level = []
+        for support, gens, kernel in level:
+            covered = set(support)
+            for j in range(1, n + 1):
+                if j in covered:
                     continue
-                # j outside the support means rank(gens + row_j) = codim.
-                cand = gens + [directions[j - 1]]
-                support = frozenset(
+                meet = _meet(kernel, directions[j - 1])
+                new = support | {
                     i
-                    for i in range(1, arr.n + 1)
-                    if bareiss_rank(cand + [directions[i - 1]]) == codim
-                )
-                if support in seen_supports:
+                    for i in range(1, n + 1)
+                    if i not in support
+                    and not any(_dot(directions[i - 1], k) for k in meet)
+                }
+                # F meets H_i in this same flat for every new i.
+                covered |= new
+                if new in seen:
                     continue
-                seen_supports.add(support)
-                new = Flat(codim, support, rref(cand))
-                result.append(new)
-                next_level.append((new, cand))
+                seen.add(new)
+                cand = gens + [directions[j - 1]]
+                result.append(Flat(codim, new, rref(cand)))
+                next_level.append((new, cand, meet))
         level = next_level
     result.sort(key=Flat.sort_key)
-    return result
+    return tuple(result)
+
+
+def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
+    """All nonempty intersection flats, each with maximal support, in
+    canonical order (codimension, then sorted support).
+
+    Built level by level from the whole space: each flat F of codimension c
+    is met with every hyperplane H_j outside its support.  A maximal support
+    determines its flat, so supports double as dedup keys; every flat of the
+    lattice is reached this way because removing one generating hyperplane
+    from a rank-(c+1) flat leaves a rank-c flat.  Each meet is one integer
+    elimination step on F's kernel basis, and its support is F's plus every
+    hyperplane whose primitive direction is orthogonal to the new basis.
+    Every H_i in that support meets F in the same flat, so each cover of F
+    is computed once.  The stored basis is the RREF of the generating rows
+    over Q, a canonical row-space key, computed once per flat.
+
+    The lattice is built on the first call and kept on arr; the size guard
+    is checked on every call, and each call returns a new list.
+    """
+    check_size(arr.n, size_guard)
+    if arr._flats is None:
+        arr._flats = _lattice(arr)
+    return list(arr._flats)
 
 
 @dataclass(frozen=True)
@@ -176,13 +227,6 @@ def _check_weights(arr: Arrangement, b: WeightVector) -> None:
         )
 
 
-def flat_weight(flat: Flat, b: WeightVector) -> EpsRat:
-    acc = EpsRat.from_rat(0)
-    for i in flat.support:
-        acc = acc + b.entries[i - 1]
-    return acc
-
-
 def is_log_canonical(
     arr: Arrangement, b: WeightVector, size_guard: int = MAX_FLAT_COORDS
 ) -> LogCanonicalVerdict:
@@ -190,11 +234,15 @@ def is_log_canonical(
 
     The pair is log canonical exactly when every nonempty flat carries total
     weight at most its codimension; the witness of a failure is the first
-    violating flat in canonical order.
+    violating flat in canonical order.  Each flat sum is compared with its
+    codimension on the packed integer lowering of b: a flat sum minus
+    codim < n levels is within the packing bound, so the comparison of two
+    ints is the sign of the difference near e = 0.
     """
     _check_weights(arr, b)
+    low = _lowered(b)
     for flat in flats(arr, size_guard=size_guard):
-        if (flat_weight(flat, b) - flat.codim).sign() > 0:
+        if sum(low.packed[i - 1] for i in flat.support) > flat.codim * low.packed_unit:
             return LogCanonicalVerdict(False, flat)
     return LogCanonicalVerdict(True)
 
@@ -204,7 +252,8 @@ def is_stable(
 ) -> StabilityVerdict:
     """Stability = positive excess weight plus log canonicity."""
     _check_weights(arr, b)
-    if (b.total() - (arr.d + 1)).sign() <= 0:
+    low = _lowered(b)
+    if sum(low.packed) <= (arr.d + 1) * low.packed_unit:
         return StabilityVerdict("not-positive")
     lc = is_log_canonical(arr, b, size_guard=size_guard)
     if not lc.is_lc:
@@ -229,14 +278,21 @@ def is_e_type(arr: Arrangement) -> bool:
     """Projective equivalence with e_configuration: the last n-d-1 rows agree
     as projective points and rows 1..d+2 are linearly general."""
     d, n = arr.d, arr.n
-    first_light = arr.rows[d + 1]
+    first_light = _primitive_direction(arr.rows[d + 1])
     for j in range(d + 2, n):
-        if rref([first_light, arr.rows[j]]) != rref([first_light]):
+        if _primitive_direction(arr.rows[j]) != first_light:
             return False
-    head = list(arr.rows[: d + 1]) + [first_light]
-    for omit in range(d + 2):
-        subset = [row for i, row in enumerate(head) if i != omit]
-        if len(rref(subset)) != d + 1:
+    head = [_primitive_direction(row) for row in arr.rows[: d + 2]]
+    return all(_independent(head[:omit] + head[omit + 1 :]) for omit in range(d + 2))
+
+
+def _independent(rows: list[tuple[int, ...]]) -> bool:
+    """Whether the integer rows are linearly independent: each one meets the
+    kernel of those before it in a smaller subspace."""
+    kernel = _whole_space(len(rows[0]))
+    for row in rows:
+        kernel = _meet(kernel, row)
+        if kernel is None:
             return False
     return True
 

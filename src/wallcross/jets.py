@@ -40,6 +40,13 @@ from .linalg import rref
 #: multiplies jets, at least order^2 operations on growing rationals each.
 MAX_JET_ORDER = 64
 
+#: Families are refused past this many coefficient products, estimated as
+#: members * (d+1) * order^2 (see check_size): normalising a member inverts
+#: its a_1 and divides its d+1 jets by it.  Random dense families in P^2 at
+#: this cap took 1.3 s (21 members of order 32) and 2.8 s (1365 members of
+#: order 4, mostly parsing) through `replace` on a 2-vCPU x86_64 host.
+MAX_FAMILY_WORK = 2**16
+
 
 class JetPoly:
     """Truncated polynomial in t: the coefficients of t^0 .. t^(order-1)."""
@@ -133,6 +140,18 @@ class JetPoly:
 Member = tuple[JetPoly, ...]
 
 
+def check_size(members: int, d: int, order: int) -> None:
+    """Refuse a family whose normalisation would pass MAX_FAMILY_WORK
+    coefficient products, stating the estimate."""
+    work = members * (d + 1) * order * order
+    if work > MAX_FAMILY_WORK:
+        raise SizeGuard(
+            "%d members of %d jets at order %d would take about %s coefficient "
+            "products (members x (d+1) x order^2); capped at %s"
+            % (members, d + 1, order, format(work, ","), format(MAX_FAMILY_WORK, ","))
+        )
+
+
 def _check_normal_form(member: Sequence[JetPoly]) -> None:
     if len(member) < 2:
         raise BadParameters("a member needs at least two coefficient jets")
@@ -164,6 +183,7 @@ class JetFamily:
             raise BadParameters("family must have at least one member")
         self.d = d
         self.members = tuple(packed)
+        check_size(len(packed), d, self.order)
 
     @property
     def order(self) -> int:

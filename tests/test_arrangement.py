@@ -6,8 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import wallcross.arrangement as arrangement_module
 from wallcross.arrangement import (
     Arrangement,
+    Flat,
+    LogCanonicalVerdict,
+    _primitive_direction,
     dichotomy_check,
     e_configuration,
     flats,
@@ -15,7 +19,7 @@ from wallcross.arrangement import (
     is_log_canonical,
     is_stable,
 )
-from wallcross.epsfield import EPS
+from wallcross.epsfield import EPS, EpsRat
 from wallcross.errors import BadParameters, PreconditionViolated, SizeGuard
 from wallcross.linalg import bareiss_rank, rref
 from wallcross.weights import WeightVector, nt_weights, t_weights
@@ -72,6 +76,100 @@ def brute_flats(arr):
             )
             found[support] = rank
     return {(rank, support) for support, rank in found.items()}
+
+
+def reference_flats(arr):
+    """The lattice built with one Bareiss rank per (flat, j, i), as flats did
+    before it moved to integer kernel bases: the reference it must match."""
+    directions = [_primitive_direction(row) for row in arr.rows]
+    by_direction = {}
+    for i, direction in enumerate(directions):
+        by_direction.setdefault(direction, []).append(i + 1)
+    result = []
+    level = []
+    for direction, indices in by_direction.items():
+        flat = Flat(1, frozenset(indices), rref([direction]))
+        result.append(flat)
+        level.append((flat, [direction]))
+    seen_supports = {flat.support for flat in result}
+    for codim in range(2, arr.d + 1):
+        next_level = []
+        for flat, gens in level:
+            for j in range(1, arr.n + 1):
+                if j in flat.support:
+                    continue
+                cand = gens + [directions[j - 1]]
+                support = frozenset(
+                    i
+                    for i in range(1, arr.n + 1)
+                    if bareiss_rank(cand + [directions[i - 1]]) == codim
+                )
+                if support in seen_supports:
+                    continue
+                seen_supports.add(support)
+                new = Flat(codim, support, rref(cand))
+                result.append(new)
+                next_level.append((new, cand))
+        level = next_level
+    result.sort(key=Flat.sort_key)
+    return result
+
+
+def reference_flat_weight(flat, b):
+    acc = EpsRat.from_rat(0)
+    for i in flat.support:
+        acc = acc + b.entries[i - 1]
+    return acc
+
+
+def reference_lc_witness(lattice, b):
+    """The first flat whose Q(e) weight exceeds its codimension, or None."""
+    for flat in lattice:
+        if (reference_flat_weight(flat, b) - flat.codim).sign() > 0:
+            return flat
+    return None
+
+
+def reference_verdict(arr, lattice, b):
+    """(status, witness) of is_stable from Q(e) sums over lattice."""
+    if (b.total() - (arr.d + 1)).sign() <= 0:
+        return "not-positive", None
+    witness = reference_lc_witness(lattice, b)
+    return ("stable", None) if witness is None else ("not-lc", witness)
+
+
+def e_image(rng, d, n):
+    """A projective image of e_configuration(d, n): rows times an invertible
+    integer matrix, each row rescaled."""
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(d + 1)]
+        if bareiss_rank(m) == d + 1:
+            break
+    rows = []
+    for row in e_configuration(d, n).rows:
+        scale = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3)))
+        rows.append([scale * sum(row[k] * m[k][j] for k in range(d + 1)) for j in range(d + 1)])
+    return Arrangement(d, n, rows)
+
+
+def lattice_corpus():
+    """Seeded arrangements: rows in [-2, 2], so coincident and concurrent
+    hyperplanes are common, for d in {1, 2, 3} and n up to 12, and
+    projective images of e_configuration."""
+    rng = random.Random(29)
+    corpus = []
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 3, 12 if d < 3 else 9)
+        rows = []
+        while len(rows) < n:
+            row = [rng.randint(-2, 2) for _ in range(d + 1)]
+            if any(row):
+                rows.append(row)
+        corpus.append(Arrangement(d, n, rows))
+    for d, n in ((1, 4), (1, 7), (2, 6), (2, 9), (2, 12), (3, 7), (3, 10)):
+        corpus.append(e_image(rng, d, n))
+    return corpus
 
 
 def random_arrangement(rng, d, n):
@@ -167,6 +265,134 @@ def test_flats_size_guard():
     with pytest.raises(SizeGuard):
         flats(arr)
     assert flats(arr, size_guard=17)  # explicit opt-in
+
+
+def test_flats_match_the_bareiss_reference():
+    for arr in lattice_corpus():
+        got = [(f.codim, f.support, f.basis) for f in flats(arr)]
+        want = [(f.codim, f.support, f.basis) for f in reference_flats(arr)]
+        assert got == want, arr.rows
+
+
+def _light(rng):
+    return Fraction(rng.randint(1, 11), 12) + rng.randint(-2, 2) * e
+
+
+def _tie_weights(rng, arr, flat, excess):
+    """Weights under which flat weighs exactly its codimension plus excess*e;
+    the other entries are random."""
+    entries = [_light(rng) for _ in range(arr.n)]
+    support = sorted(flat.support)
+    base = Fraction(flat.codim, len(support))
+    if base == 1:
+        shifts = [0] * len(support)
+        shifts[0] = min(excess, 0)
+    else:
+        shifts = [rng.randint(-2, 2) for _ in support]
+        shifts[-1] += excess - sum(shifts)
+    for i, shift in zip(support, shifts):
+        entries[i - 1] = base + shift * e
+    return WeightVector(arr.d, arr.n, entries)
+
+
+def verdict_corpus():
+    """(arrangement, reference lattice, weight vectors): t, nt, random
+    symbolic weights with (1 + q*e) denominators, flats weighing exactly
+    their codimension or e more or less, and totals of exactly d + 1."""
+    rng = random.Random(30)
+    for arr in lattice_corpus():
+        d, n = arr.d, arr.n
+        lattice = reference_flats(arr)
+        vectors = [t_weights(d, n), nt_weights(d, n)]
+        for _ in range(2):
+            vectors.append(WeightVector(d, n, [
+                _light(rng) / (1 + rng.randint(0, 3) * e) for _ in range(n)
+            ]))
+        for excess in (0, 1, -1):
+            vectors.append(_tie_weights(rng, arr, rng.choice(lattice), excess))
+        vectors.append(WeightVector(d, n, [Fraction(d + 1, n)] * n))
+        shifts = [rng.randint(-1, 1) for _ in range(n - 1)]
+        vectors.append(WeightVector(d, n, [
+            Fraction(d + 1, n) + s * e for s in shifts + [-sum(shifts)]
+        ]))
+        yield arr, lattice, vectors
+
+
+def test_flat_sums_match_the_qe_reference():
+    statuses = set()
+    for arr, lattice, vectors in verdict_corpus():
+        for b in vectors:
+            verdict = is_stable(arr, b)
+            want = reference_verdict(arr, lattice, b)
+            assert (verdict.status, verdict.witness) == want, (arr.rows, b)
+            witness = reference_lc_witness(lattice, b)
+            assert is_log_canonical(arr, b) == LogCanonicalVerdict(witness is None, witness)
+            statuses.add(want[0])
+    assert statuses == {"stable", "not-lc", "not-positive"}
+
+
+def reference_is_e_type(arr):
+    """is_e_type by RREF over Q, as it was before it moved to integers."""
+    d, n = arr.d, arr.n
+    first_light = arr.rows[d + 1]
+    for j in range(d + 2, n):
+        if rref([first_light, arr.rows[j]]) != rref([first_light]):
+            return False
+    head = list(arr.rows[: d + 1]) + [first_light]
+    return all(
+        len(rref(head[:omit] + head[omit + 1 :])) == d + 1 for omit in range(d + 2)
+    )
+
+
+def test_is_e_type_matches_the_rref_reference():
+    rng = random.Random(31)
+    answers = set()
+    for arr in lattice_corpus():
+        variants = [arr]
+        for _ in range(3):
+            rows = [list(row) for row in arr.rows]
+            rows[rng.randrange(arr.n)] = rng.choice(rows)
+            variants.append(Arrangement(arr.d, arr.n, rows))
+        for variant in variants:
+            assert is_e_type(variant) == reference_is_e_type(variant), variant.rows
+            answers.add(is_e_type(variant))
+    assert answers == {True, False}
+
+
+def test_flats_cache_returns_a_new_list():
+    arr = e_configuration(2, 7)
+    first = flats(arr)
+    expected = list(first)
+    first.clear()
+    assert flats(arr) == expected
+    flats(arr).append(None)
+    assert flats(arr) == expected
+
+
+def test_flats_guard_holds_after_an_opt_in():
+    arr = e_configuration(2, 17)
+    assert flats(arr, size_guard=17)
+    assert arr._flats is not None
+    with pytest.raises(SizeGuard):
+        flats(arr)
+    with pytest.raises(SizeGuard):
+        is_stable(arr, nt_weights(2, 17))
+
+
+def test_dichotomy_builds_the_lattice_once(monkeypatch):
+    built = []
+    real = arrangement_module._lattice
+
+    def counting(arr):
+        built.append(arr)
+        return real(arr)
+
+    monkeypatch.setattr(arrangement_module, "_lattice", counting)
+    arr = e_configuration(2, 7)
+    assert dichotomy_check(arr)
+    assert built == [arr]
+    assert is_stable(arr, t_weights(2, 7)).is_stable
+    assert len(built) == 1
 
 
 # -- log canonicity and stability ------------------------------------------------

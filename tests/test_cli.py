@@ -299,6 +299,8 @@ FAMILY = {"d": 2, "truncation": 3, "members": [["t", "1", "2*t"], ["2*t", "1", "
         ({"d": None}, "'d' must be an integer"),
         ({"truncation": "three"}, "'truncation' must be an integer"),
         ({"truncation": 800}, "truncation order 800 exceeds the cap of 64"),
+        ({"truncation": 64, "members": [["t", "1", "2*t"]] * 6}, "capped at 65,536"),
+        ({"truncation": 32, "members": [["t", "1", "2*t"]] * 22}, "22 members of 3 jets"),
     ],
 )
 def test_malformed_family_documents(capsys, tmp_path, change, message):

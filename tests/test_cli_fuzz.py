@@ -1,0 +1,147 @@
+"""Generated documents for `stability`: every input ends in a report (exit 0)
+or in one line on stderr (exit 2), never in a traceback.
+
+The run is derandomized and bounded, so it is the same on every machine.
+"""
+
+import json
+
+import pytest
+
+from wallcross.cli import main
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+#: Entries that are not small integer strings: fractions, a zero
+#: denominator, Q(e) text, malformed text, long literals, high powers, and
+#: JSON values that are not strings at all.
+ODD_ENTRIES = st.one_of(
+    st.builds("{}/{}".format, st.integers(-7, 7), st.integers(-3, 7)),
+    st.sampled_from(
+        ["", " ", "abc", "1/0", "e", "1 - e", "0.5", "1e5", "2^64", "(1+e)^70",
+         "1" * 999, "1" * 1001, "-" + "7" * 400, "((1)", "1/(1-1)"]
+    ),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+#: Values for the integer fields d and n that are not plain small integers.
+ODD_INTS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(10**20, 10**21),
+    st.sampled_from(["3", " 4 ", "x", "", "9" * 5000, "1_0"]),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.lists(st.integers(), max_size=1),
+)
+
+
+def _corrupt(draw, doc, rows_key):
+    """Leave doc well formed or break one thing about it."""
+    rows = doc[rows_key]
+    kind = draw(st.sampled_from(
+        ["none"] * 8 + ["d", "n", "row", "shape", "entry", "rows", "document"]
+    ))
+    if kind in ("d", "n"):
+        doc[kind] = draw(ODD_INTS)
+    elif kind == "row" and rows_key == "hyperplanes":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.one_of(
+            st.just(["0"] * len(rows[i])),
+            st.lists(st.integers(-2, 2).map(str), max_size=6),
+            ODD_ENTRIES,
+        ))
+    elif kind == "shape":
+        if draw(st.booleans()):
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            rows.append(draw(st.sampled_from(rows)))
+    elif kind in ("entry", "row"):
+        i = draw(st.integers(0, len(rows) - 1))
+        if rows_key == "hyperplanes":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(ODD_ENTRIES)
+        else:
+            rows[i] = draw(ODD_ENTRIES)
+    elif kind == "rows":
+        doc[rows_key] = draw(st.one_of(ODD_ENTRIES, st.dictionaries(st.text(max_size=2), st.integers())))
+    elif kind == "document":
+        return draw(st.one_of(st.sampled_from([[], {}, None, 5, "x"]), st.just(rows)))
+    return doc
+
+
+@st.composite
+def arrangement_documents(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 3, d + 6))
+    row = st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1).filter(any)
+    row = row.map(lambda r: [str(x) for x in r])
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    size = draw(st.sampled_from(["small"] * 8 + ["past the flat guard", "long literals"]))
+    if size == "past the flat guard":
+        d, n = 2, 17
+        rows = [[str(i + 1), str(i * i + 2), "1"] for i in range(n)]
+    elif size == "long literals":
+        rows = [[x + "0" * draw(st.integers(0, 300)) for x in r] for r in rows]
+    return d, n, _corrupt(draw, {"d": d, "n": n, "hyperplanes": rows}, "hyperplanes")
+
+
+WEIGHT_TEXTS = st.sampled_from(
+    ["1", "1/2", "1/3", "2/3", "e", "1 - e", "(1 + e)/3", "1/(1 + 2*e)", "3/4 - e", "1/7"]
+)
+
+
+@st.composite
+def weight_documents(draw, d, n):
+    """A named weight vector or a weight document for (d, n)."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(["t", "nt"]))
+    entries = draw(st.lists(WEIGHT_TEXTS, min_size=n, max_size=n))
+    return _corrupt(draw, {"d": d, "n": n, "entries": entries}, "entries")
+
+
+@st.composite
+def stability_calls(draw):
+    d, n, arrangement = draw(arrangement_documents())
+    weights = draw(weight_documents(d, n))
+    flags = []
+    if draw(st.integers(0, 9)) == 0:
+        flags += ["--d", str(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 9)) == 0:
+        flags += ["--n", str(draw(st.integers(0, 12)))]
+    if draw(st.integers(0, 5)) == 0:
+        flags += ["--eps", draw(st.sampled_from(["1/100", "1/100", "1/7", "0", "x"]))]
+    return arrangement, weights, flags
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(call=stability_calls())
+def test_stability_documents_exit_0_or_2(capsys, tmp_path, call):
+    arrangement, weights, flags = call
+    arr_path = tmp_path / "arrangement.json"
+    arr_path.write_text(json.dumps(arrangement))
+    if isinstance(weights, str):
+        spec = weights
+    else:
+        spec = str(tmp_path / "weights.json")
+        (tmp_path / "weights.json").write_text(json.dumps(weights))
+    code = main(["stability", str(arr_path), "--weights", spec] + flags)
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        assert json.loads(out)["status"] in ("stable", "not-lc", "not-positive")

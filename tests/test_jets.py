@@ -10,8 +10,10 @@ from wallcross.errors import (
     IndistinguishableAtTruncation,
     InsufficientTruncation,
     NotInNormalForm,
+    SizeGuard,
 )
 from wallcross.jets import (
+    MAX_FAMILY_WORK,
     DegenerationModel,
     JetFamily,
     JetPoly,
@@ -374,3 +376,15 @@ def test_normalize_rejects_mismatched_limits():
     ]
     with pytest.raises(BadParameters):
         normalize_to_common_chart(2, raw)
+
+
+def test_family_work_guard():
+    # members * (d+1) * order^2: 21 * 3 * 32^2 = 64,512 fits, 22 members do not.
+    member = (jp(0, 1, order=32), jp(1, order=32), jp(0, 2, order=32))
+    assert 21 * 3 * 32**2 <= MAX_FAMILY_WORK < 22 * 3 * 32**2
+    assert len(JetFamily(2, [member] * 21).members) == 21
+    with pytest.raises(SizeGuard, match="22 members of 3 jets at order 32 would take about 67,584"):
+        JetFamily(2, [member] * 22)
+    # The estimate uses the common order, the least order of any jet.
+    short = (jp(0, 1, order=4), jp(1, order=32), jp(0, 2, order=32))
+    assert len(JetFamily(2, [short] * 22).members) == 22
