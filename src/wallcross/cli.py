@@ -19,7 +19,7 @@ from typing import Any, Optional, Sequence
 
 from . import arrangement as arr_mod
 from . import blowup, jets, mixedsub, weights
-from .epsfield import EPS, EpsRat, parse_eps_rat, parse_rat
+from .epsfield import EPS, EpsRat, parse_eps_rat, parse_poly, parse_rat
 from .errors import ParseError, WallcrossError
 
 
@@ -85,13 +85,6 @@ def section_to_json(s: jets.LimitSection) -> dict:
     return {"constant": str(s.constant), "linear": [str(x) for x in s.linear]}
 
 
-def _poly_coeffs(text: str) -> tuple:
-    """Coefficients of a polynomial-in-t expression; denominators rejected."""
-    from .epsfield import parse_poly
-
-    return parse_poly(text, var="t")
-
-
 def _json_field(doc: Any, key: str, what: str) -> Any:
     if not isinstance(doc, dict):
         raise ParseError("%s must be a JSON object" % what)
@@ -116,6 +109,16 @@ def _json_list(doc: Any, key: str, what: str) -> list:
     if not isinstance(value, list):
         raise ParseError("%s field %r must be a JSON list, got %s" % (what, key, json.dumps(value)))
     return value
+
+
+def _lifting_height(i: int, value: Any) -> Fraction:
+    """A JSON integer or rational string: floats are inexact, booleans no numbers."""
+    if isinstance(value, str):
+        return parse_rat(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError("lifting height %d must be an integer or a rational string, got %s"
+                         % (i, json.dumps(value)))
+    return Fraction(value)
 
 
 def _load_json(path: str) -> Any:
@@ -289,16 +292,15 @@ def cmd_replace(args) -> int:
     for i, row in enumerate(_json_list(doc, "members", what), 1):
         if not isinstance(row, list):
             raise ParseError("member %d must be a JSON list, got %s" % (i, json.dumps(row)))
-        members.append([jets.JetPoly(_poly_coeffs(text), order) for text in row])
+        members.append([jets.JetPoly(parse_poly(text, var="t"), order) for text in row])
     family = jets.JetFamily(d, members)
     n = args.n if args.n is not None else d + 1 + len(family.members)
     model = jets.stable_replacement_model(family, n)
-    depth = jets.separation_depth(family)
     _emit(
         {
             "d": d,
             "n": n,
-            "depth": depth,
+            "depth": model.depth,
             "sections": [section_to_json(s) for s in model.sections],
             "classes": [list(cls) for cls in model.classes],
             "valid": jets.validate_degeneration(model, eps),
@@ -314,7 +316,7 @@ def cmd_mixedsub(args) -> int:
         doc = _load_json(args.lifting)
         if not isinstance(doc, list):
             raise ParseError("lifting document must be a JSON list of rationals")
-        lifting = [parse_rat(str(x)) for x in doc]
+        lifting = [_lifting_height(i, x) for i, x in enumerate(doc, 1)]
     else:
         rng = random.Random(args.random)
         lifting = [Fraction(rng.randint(0, 10**6)) for _ in range(args.m * (args.d + 1))]

@@ -1,12 +1,21 @@
 """Exact arithmetic in the ordered field Q(e) of rational functions in an
 infinitesimal e.
 
-Elements are reduced fractions of polynomials in e with arbitrary-precision
-rational coefficients.  The order is the one induced by evaluation at
-0 < e << 1: a nonzero element is positive exactly when the lowest-degree
-nonzero coefficient of its numerator is positive, once the denominator is
-normalized to have lowest-degree coefficient +1.  This turns every
-"for e small enough" comparison into an exact, decidable one.
+An element is a reduced fraction num/den of polynomials in e, stored as two
+tuples of integer coefficients, lowest degree first.  In normal form num and
+den are coprime, the lowest nonzero coefficient of den is positive and all
+their coefficients together have gcd 1, so each element has exactly one
+representation and equality is structural.  The order is the one induced by
+evaluation at 0 < e << 1: den is positive near 0, so a nonzero element is
+positive exactly when the lowest nonzero coefficient of num is positive.
+This turns every "for e small enough" comparison into an exact, decidable
+one.  The field operations, the order, evaluation and the lowering of
+`clear_denominators` all run on these integers.
+
+Rational coefficients appear only at the edges.  EpsPoly, a polynomial with
+Fraction coefficients, is what the public constructor EpsRat(num, den)
+takes and what the `num` and `den` properties give back, scaled so that
+den's lowest nonzero coefficient is 1; the printed form is built from them.
 
 Plain rationals are handled by fractions.Fraction, re-exported as Rat.
 """
@@ -42,16 +51,25 @@ MAX_EPS_DEGREE = 64
 MAX_LITERAL_DIGITS = 1000
 
 
-def _as_fraction(x: RatLike) -> Fraction:
+def _ratio(x: RatLike) -> "tuple[int, int]":
+    """Numerator and positive denominator of an int or Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
+def _check_degree(coeffs: Sequence) -> None:
+    if len(coeffs) - 1 > MAX_EPS_DEGREE:
+        raise DegreeOverflow(
+            "polynomial degree %d exceeds guard %d" % (len(coeffs) - 1, MAX_EPS_DEGREE)
+        )
+
+
 class EpsPoly:
-    """Polynomial in e over Q, coefficients stored from degree 0 upward.
+    """Polynomial in e over Q, coefficients stored from degree 0 upward: the
+    rational form of an EpsRat's numerator or denominator.
 
     The zero polynomial has an empty coefficient tuple; otherwise the last
     stored coefficient is nonzero.
@@ -60,16 +78,11 @@ class EpsPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [Fraction(*_ratio(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        if len(cs) - 1 > MAX_EPS_DEGREE:
-            raise DegreeOverflow(
-                "polynomial degree %d exceeds guard %d" % (len(cs) - 1, MAX_EPS_DEGREE)
-            )
+        _check_degree(cs)
         self.coeffs = tuple(cs)
-
-    # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -80,23 +93,8 @@ class EpsPoly:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1
 
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient (-1 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
-
     def lowest_coeff(self) -> Fraction:
-        v = self.valuation()
-        if v < 0:
-            return Fraction(0)
-        return self.coeffs[v]
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return next((c for c in self.coeffs if c), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EpsPoly):
@@ -109,34 +107,8 @@ class EpsPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        return EpsPoly(poly_add(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "EpsPoly":
-        return EpsPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return EpsPoly(poly_add(self.coeffs, other.coeffs, -1))
-
-    def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        return EpsPoly(poly_mul(self.coeffs, other.coeffs))
-
-    def scale(self, c: RatLike) -> "EpsPoly":
-        c = _as_fraction(c)
-        return EpsPoly(tuple(c * x for x in self.coeffs))
-
-    def __call__(self, x: RatLike) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-# -- coefficient lists, lowest degree first ------------------------------------
+# -- integer coefficient lists, lowest degree first ------------------------------
 
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
@@ -161,6 +133,14 @@ def integer_coeffs(*polys: EpsPoly) -> "list[list[int]]":
     return [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
 
 
+def _lex_sign(v: "Iterable[int]") -> int:
+    """The sign near e = 0 of a polynomial: that of its lowest nonzero coefficient."""
+    for x in v:
+        if x:
+            return 1 if x > 0 else -1
+    return 0
+
+
 def _trim(v: "Sequence[int]") -> "list[int]":
     v = list(v)
     while v and v[-1] == 0:
@@ -169,9 +149,7 @@ def _trim(v: "Sequence[int]") -> "list[int]":
 
 
 def _primitive(v: "list[int]") -> "list[int]":
-    g = 0
-    for x in v:
-        g = igcd(g, x)
+    g = igcd(*v)
     return [x // g for x in v] if g > 1 else v
 
 
@@ -224,86 +202,86 @@ def _exact_quo(a: "list[int]", b: "list[int]") -> "list[int]":
     return quo
 
 
-def poly_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
-    """Monic gcd over Q (gcd(0, 0) = 0).
-
-    Runs a primitive-remainder sequence on denominator-cleared integer
-    coefficients: for the typical coprime operands this touches no Fraction
-    arithmetic beyond the final normalization.
-    """
-    if a.is_zero:
-        return b if b.is_zero else b.scale(1 / b.coeffs[-1])
-    if b.is_zero:
-        return a.scale(1 / a.coeffs[-1])
-    u = _int_gcd(*integer_coeffs(a, b))
-    return EpsPoly([Fraction(c, u[-1]) for c in u])
-
-
-_ZERO_POLY = EpsPoly()
-_ONE_POLY = EpsPoly((1,))
-
-
-def _normal_form(num: "Sequence[int]", den: "Sequence[int]") -> "tuple[EpsPoly, EpsPoly]":
+def _normal_form(
+    num: "Sequence[int]", den: "Sequence[int]"
+) -> "tuple[tuple[int, ...], tuple[int, ...]]":
     """The normal form of num/den for integer coefficient lists, lowest
     degree first: the one reduction behind every EpsRat.
 
-    The gcd is taken on the integer lists before any EpsPoly is built, so
-    only the reduced quotient has to fit the degree guard.
+    Only the reduced pair has to fit the degree guard.
     """
     num, den = _trim(num), _trim(den)
     if not den:
         raise DivisionByZero("zero denominator in Q(e)")
     if not num:
-        return _ZERO_POLY, _ONE_POLY
+        return (), (1,)
     if len(num) > 1 and len(den) > 1:
         g = _int_gcd(num, den)
         if len(g) > 1:
             num, den = _exact_quo(num, g), _exact_quo(den, g)
-    c = next(x for x in den if x)
-    return EpsPoly([Fraction(x, c) for x in num]), EpsPoly([Fraction(x, c) for x in den])
+    c = igcd(*num, *den) * _lex_sign(den)
+    if c != 1:
+        num, den = [x // c for x in num], [x // c for x in den]
+    _check_degree(num)
+    _check_degree(den)
+    return tuple(num), tuple(den)
+
+
+def _make(num: "tuple[int, ...]", den: "tuple[int, ...]") -> "EpsRat":
+    """An EpsRat from a pair already in normal form."""
+    out = object.__new__(EpsRat)
+    out.int_num, out.int_den = num, den
+    return out
 
 
 def _cmp(a: "EpsRat", b: "EpsRat") -> int:
     """The sign of a - b near e = 0: the lexicographic sign of
-    a.num*b.den - b.num*a.den on integers.  Both denominators are positive
-    near 0, so no gcd or normalisation is needed."""
-    an, ad, bn, bd = integer_coeffs(a.num, a.den, b.num, b.den)
-    for x in poly_add(poly_mul(an, bd), poly_mul(bn, ad), -1):
-        if x:
-            return 1 if x > 0 else -1
-    return 0
+    a.num*b.den - b.num*a.den.  Both denominators are positive near 0, so no
+    gcd or normalisation is needed."""
+    return _lex_sign(
+        poly_add(poly_mul(a.int_num, b.int_den), poly_mul(b.int_num, a.int_den), -1)
+    )
+
+
+def _homogeneous(v: "Sequence[int]", p: int, q: int, degree: int) -> int:
+    """q^degree * v(p/q) on integers, for degree >= len(v) - 1, by Horner's rule."""
+    acc, qk = 0, 1
+    for c in reversed(v):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc * q ** (degree + 1 - len(v))
 
 
 class EpsRat:
-    """Element of Q(e), kept as a reduced fraction of EpsPoly.
+    """Element of Q(e), kept as the integer coefficient tuples `int_num` and
+    `int_den` of a reduced fraction, lowest degree first.
 
-    Normal form: gcd(num, den) = 1 and the lowest-degree nonzero coefficient
-    of den equals +1, which makes equality structural and the sign of the
-    element readable off the numerator's lowest-degree coefficient.  The
-    constructor and the field operations all reach it through one routine on
-    integer coefficient lists (`_normal_form`).
+    Normal form: gcd(num, den) = 1, den's lowest nonzero coefficient is
+    positive and the joint content of the pair is 1, which makes equality
+    structural and the sign of the element readable off the numerator's
+    lowest nonzero coefficient.  The constructor and the field operations
+    all reach it through one routine (`_normal_form`).  The properties `num`
+    and `den` give the same fraction as EpsPoly values with Fraction
+    coefficients, scaled so that den's lowest nonzero coefficient is 1.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("int_num", "int_den")
 
-    def __init__(self, num: EpsPoly, den: EpsPoly = _ONE_POLY):
-        self.num, self.den = _normal_form(*integer_coeffs(num, den))
+    def __init__(self, num: EpsPoly, den: EpsPoly = EpsPoly((1,))):
+        self.int_num, self.int_den = _normal_form(*integer_coeffs(num, den))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rat(cls, x: RatLike) -> "EpsRat":
-        # x/1 is already in normal form.
-        out = cls.__new__(cls)
-        out.num, out.den = EpsPoly((_as_fraction(x),)), _ONE_POLY
-        return out
+        # p/q with q > 0 and gcd(p, q) = 1 is already in normal form.
+        p, q = _ratio(x)
+        return _make((p,) if p else (), (q,))
 
     @classmethod
     def from_integers(cls, num: "Sequence[int]", den: "Sequence[int]") -> "EpsRat":
         """num/den for integer coefficient lists, lowest degree first."""
-        out = cls.__new__(cls)
-        out.num, out.den = _normal_form(num, den)
-        return out
+        return _make(*_normal_form(num, den))
 
     @staticmethod
     def coerce(x: "EpsRatLike") -> "EpsRat":
@@ -313,30 +291,43 @@ class EpsRat:
             return EpsRat.from_rat(x)
         raise TypeError("cannot coerce %r into Q(e)" % (x,))
 
+    # -- rational form ---------------------------------------------------------
+
+    def _rational(self, coeffs: "tuple[int, ...]") -> EpsPoly:
+        c = next(x for x in self.int_den if x)
+        return EpsPoly([Fraction(x, c) for x in coeffs])
+
+    @property
+    def num(self) -> EpsPoly:
+        """The numerator, over a denominator with lowest coefficient 1."""
+        return self._rational(self.int_num)
+
+    @property
+    def den(self) -> EpsPoly:
+        """The denominator, scaled to lowest nonzero coefficient 1."""
+        return self._rational(self.int_den)
+
     # -- predicates ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.int_num
 
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den == _ONE_POLY
+        return len(self.int_num) <= 1 and len(self.int_den) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise BadParameters("not a constant element of Q(e): %s" % self)
-        return self.num.coeff(0)
+        return Fraction(self.int_num[0] if self.int_num else 0, self.int_den[0])
 
     def sign(self) -> int:
         """Sign as e -> 0+: the sign of the numerator's lowest nonzero coefficient."""
-        if self.num.is_zero:
-            return 0
-        return 1 if self.num.lowest_coeff() > 0 else -1
+        return _lex_sign(self.int_num)
 
     # -- field operations ------------------------------------------------------
     #
-    # Each binary operation lowers both operands to integer lists with one
-    # common positive scale, which every quotient below is homogeneous in,
+    # Each binary operation multiplies out the integer pairs of its operands
     # and normalises the result once.
 
     def __add__(self, other: "EpsRatLike") -> "EpsRat":
@@ -344,7 +335,7 @@ class EpsRat:
             o = EpsRat.coerce(other)
         except TypeError:
             return NotImplemented
-        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
+        an, ad, bn, bd = self.int_num, self.int_den, o.int_num, o.int_den
         return EpsRat.from_integers(
             poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)
         )
@@ -353,16 +344,14 @@ class EpsRat:
 
     def __neg__(self) -> "EpsRat":
         # Negating the numerator keeps the normal form.
-        out = EpsRat.__new__(EpsRat)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _make(tuple(-x for x in self.int_num), self.int_den)
 
     def __sub__(self, other: "EpsRatLike") -> "EpsRat":
         try:
             o = EpsRat.coerce(other)
         except TypeError:
             return NotImplemented
-        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
+        an, ad, bn, bd = self.int_num, self.int_den, o.int_num, o.int_den
         return EpsRat.from_integers(
             poly_add(poly_mul(an, bd), poly_mul(bn, ad), -1), poly_mul(ad, bd)
         )
@@ -375,8 +364,9 @@ class EpsRat:
             o = EpsRat.coerce(other)
         except TypeError:
             return NotImplemented
-        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
-        return EpsRat.from_integers(poly_mul(an, bn), poly_mul(ad, bd))
+        return EpsRat.from_integers(
+            poly_mul(self.int_num, o.int_num), poly_mul(self.int_den, o.int_den)
+        )
 
     __rmul__ = __mul__
 
@@ -387,8 +377,9 @@ class EpsRat:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("division by zero in Q(e)")
-        an, ad, bn, bd = integer_coeffs(self.num, self.den, o.num, o.den)
-        return EpsRat.from_integers(poly_mul(an, bd), poly_mul(ad, bn))
+        return EpsRat.from_integers(
+            poly_mul(self.int_num, o.int_den), poly_mul(self.int_den, o.int_num)
+        )
 
     def __rtruediv__(self, other: "EpsRatLike") -> "EpsRat":
         return EpsRat.coerce(other) / self
@@ -414,11 +405,11 @@ class EpsRat:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (EpsRat, int, Fraction)):
             o = EpsRat.coerce(other)
-            return self.num == o.num and self.den == o.den
+            return self.int_num == o.int_num and self.int_den == o.int_den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.int_num, self.int_den))
 
     def __lt__(self, other: "EpsRatLike") -> bool:
         return _cmp(self, EpsRat.coerce(other)) < 0
@@ -439,16 +430,18 @@ class EpsRat:
 
     def eval_at(self, x: RatLike) -> Fraction:
         """Exact substitution e := x for a rational x."""
-        x = _as_fraction(x)
-        d = self.den(x)
-        if d == 0:
-            raise PoleAtPoint("denominator vanishes at e = %s" % x)
-        return self.num(x) / d
+        p, q = _ratio(x)
+        degree = max(len(self.int_num), len(self.int_den)) - 1
+        den = _homogeneous(self.int_den, p, q, degree)
+        if den == 0:
+            raise PoleAtPoint("denominator vanishes at e = %s" % (x,))
+        return Fraction(_homogeneous(self.int_num, p, q, degree), den)
 
     def __str__(self) -> str:
-        if self.den == _ONE_POLY:
-            return format_poly(self.num.coeffs)
-        return "(%s)/(%s)" % (format_poly(self.num.coeffs), format_poly(self.den.coeffs))
+        num = format_poly(self.num.coeffs)
+        if len(self.int_den) == 1:
+            return num
+        return "(%s)/(%s)" % (num, format_poly(self.den.coeffs))
 
     def __repr__(self) -> str:
         return "EpsRat(%r)" % str(self)
@@ -456,10 +449,10 @@ class EpsRat:
 
 EpsRatLike = Union[EpsRat, int, Fraction]
 
-ZERO = EpsRat(_ZERO_POLY)
-ONE = EpsRat(_ONE_POLY)
+ZERO = _make((), (1,))
+ONE = _make((1,), (1,))
 #: The infinitesimal itself.
-EPS = EpsRat(EpsPoly((0, 1)))
+EPS = _make((0, 1), (1,))
 
 
 def eps_cmp(a: EpsRatLike, b: EpsRatLike) -> int:
@@ -494,36 +487,36 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
     """Integer coefficient vectors, all of one length, of the values times
     one common factor D*L that is positive near e = 0.
 
-    D is the lcm of the denominators, as a primitive integer polynomial
-    whose lowest nonzero coefficient is positive; each denominator in normal
-    form has lowest coefficient +1, so D is positive near 0.  L is the lcm
-    of the rational coefficients' denominators.  Multiplying by a positive
-    factor keeps every sign, so the sign of a value, or of a sum of values
-    minus k*D*L, is the lexicographic sign of its integer coefficients,
-    lowest degree first.  The products run on plain coefficient lists, so D
-    may pass the EpsPoly degree guard where no value does.
+    Each value is num/(c*P), with c the content of its stored denominator
+    and P primitive with a positive lowest coefficient.  D is the lcm of the
+    P, also primitive with a positive lowest coefficient, so D is positive
+    near 0; L is the least integer that makes every num*(D/P)*L/c integral.
+    Multiplying by a positive factor keeps every sign, so the sign of a
+    value, or of a sum of values minus k*D*L, is the lexicographic sign of
+    its integer coefficients, lowest degree first.  D may pass the degree
+    guard where no value does.
     """
-    parts = [
-        (x.num.coeffs or (0,), tuple(_primitive(integer_coeffs(x.den)[0])))
-        if isinstance(x, EpsRat)
-        else ((x,), (1,))
-        for x in values
-    ]
+    parts = []
+    for x in values:
+        x = EpsRat.coerce(x)
+        c = igcd(*x.int_den)
+        parts.append((x.int_num or (0,), c, tuple(v // c for v in x.int_den)))
     lcm_den = [1]
-    for den in set(den for _, den in parts):
+    for den in set(den for _, _, den in parts):
         den = list(den)
         lcm_den = poly_mul(lcm_den, _exact_quo(den, _int_gcd(lcm_den, den)))
-    if next(x for x in lcm_den if x) < 0:
+    if _lex_sign(lcm_den) < 0:
         lcm_den = [-x for x in lcm_den]
-    # With r > 0 the lowest nonzero coefficient of den, x = num*r/den.
+    # x*D = num*(D/P)/c, in lowest terms.
     scaled = []
-    for num, den in parts:
-        r = next(c for c in den if c)
-        scaled.append(poly_mul(num, [r * q for q in _exact_quo(lcm_den, list(den))]))
-    scale = lcm(*(x.denominator for poly in scaled for x in poly))
-    levels = max(len(poly) for poly in scaled)
+    for num, c, den in parts:
+        poly = poly_mul(num, _exact_quo(lcm_den, list(den)))
+        g = igcd(c, *poly)
+        scaled.append(([x // g for x in poly], c // g))
+    scale = lcm(*(c for _, c in scaled))
+    levels = max(len(poly) for poly, _ in scaled)
     return [
-        [int(x * scale) for x in poly] + [0] * (levels - len(poly)) for poly in scaled
+        [x * (scale // c) for x in poly] + [0] * (levels - len(poly)) for poly, c in scaled
     ]
 
 
@@ -532,22 +525,20 @@ def positivity_radius(a: EpsRat) -> Fraction:
     every rational 0 < x < r.
 
     Uses the elementary root bound |p(x) - a_v x^v| < |a_v| x^v for
-    0 < x < |a_v| / (|a_v| + max|a_i|), applied to numerator and denominator.
-    For a = 0 the radius is 1/2 (any point works).
+    0 < x < |a_v| / (|a_v| + max|a_i|), applied to numerator and denominator;
+    the bound does not change when p is scaled.  For a = 0 the radius is 1/2
+    (any point works).
     """
 
-    def bound(p: EpsPoly) -> Fraction:
-        v = p.valuation()
-        lead = abs(p.coeffs[v])
-        rest = [abs(c) for c in p.coeffs[v + 1 :]]
-        if not rest:
-            return Fraction(1, 2)
-        m = max(rest)
-        return lead / (lead + m)
+    def bound(p: "tuple[int, ...]") -> Fraction:
+        v = next(i for i, c in enumerate(p) if c)
+        lead = abs(p[v])
+        rest = max((abs(c) for c in p[v + 1 :]), default=0)
+        return Fraction(lead, lead + rest) if rest else Fraction(1, 2)
 
     if a.is_zero:
         return Fraction(1, 2)
-    return min(bound(a.num), bound(a.den), Fraction(1, 2))
+    return min(bound(a.int_num), bound(a.int_den), Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +685,7 @@ class _Parser:
         if isinstance(tok, int):
             return EpsRat.from_rat(tok)
         if tok == self.var:
-            return EpsRat(EpsPoly((0, 1)))
+            return EPS
         raise ParseError("unexpected token %r" % (tok,))
 
 
@@ -714,7 +705,7 @@ def parse_eps_rat(text: str, var: str = "e") -> EpsRat:
 def parse_poly(text: str, var: str = "t") -> "tuple[Fraction, ...]":
     """Parse a polynomial expression; rejects genuine denominators."""
     value = parse_eps_rat(text, var=var)
-    if value.den != _ONE_POLY:
+    if len(value.int_den) != 1:
         raise ParseError("expected a polynomial in %r, got %s" % (var, text))
     return value.num.coeffs
 

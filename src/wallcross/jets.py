@@ -34,7 +34,6 @@ from .errors import (
     NotInNormalForm,
     SizeGuard,
 )
-from .linalg import rref
 
 #: Truncation orders past this are refused: normalising a member inverts and
 #: multiplies jets, at least order^2 operations on growing rationals each.
@@ -214,13 +213,15 @@ class DegenerationModel:
     """The broken-pair limit: a plain P^d glued to a blown-up P^d, with the
     light hyperplanes degenerating to sections of the exceptional bundle.
 
-    classes groups member indices (0-based) by coinciding section.
+    classes groups member indices (0-based) by coinciding section; depth is
+    the separation depth s at which the sections were read.
     """
 
     d: int
     n: int
     sections: tuple[LimitSection, ...]
     classes: tuple[tuple[int, ...], ...]
+    depth: int = 1
 
 
 def limit_section(member: Sequence[JetPoly]) -> LimitSection:
@@ -239,6 +240,29 @@ def limit_section(member: Sequence[JetPoly]) -> LimitSection:
     return LimitSection(constant, linear)
 
 
+def _separate(family: JetFamily) -> tuple[int, list[LimitSection]]:
+    """The separation depth s and the sections read at order s, from one
+    normalisation of the family."""
+    if len(family.members) < 2:
+        raise BadParameters("separation needs at least two members")
+    members = family.normalized_members()
+    first = members[0]
+    for s in range(1, family.order):
+        if any(
+            p.coeff(s) != q.coeff(s) for other in members[1:] for p, q in zip(first, other)
+        ):
+            break
+    else:
+        raise IndistinguishableAtTruncation(
+            "all members agree modulo t^%d" % family.order
+        )
+    sections = [
+        LimitSection(-member[0].coeff(s), tuple(-p.coeff(s) for p in member[2:]))
+        for member in members
+    ]
+    return s, sections
+
+
 def separation_depth(family: JetFamily) -> int:
     """Least k >= 1 at which the normalized members differ.
 
@@ -246,19 +270,7 @@ def separation_depth(family: JetFamily) -> int:
     members never separate.  Raises when the truncation order cannot certify
     any separation.
     """
-    if len(family.members) < 2:
-        raise BadParameters("separation needs at least two members")
-    members = family.normalized_members()
-    order = family.order
-    first = members[0]
-    for k in range(1, order):
-        for other in members[1:]:
-            for p, q in zip(first, other):
-                if p.coeff(k) != q.coeff(k):
-                    return k
-    raise IndistinguishableAtTruncation(
-        "all members agree modulo t^%d" % order
-    )
+    return _separate(family)[0]
 
 
 def separated_sections(family: JetFamily) -> list[LimitSection]:
@@ -270,13 +282,7 @@ def separated_sections(family: JetFamily) -> list[LimitSection]:
     depend only on the normalized t^s data.  At s = 1 this agrees with
     limit_section member by member.
     """
-    s = separation_depth(family)
-    sections = []
-    for member in family.normalized_members():
-        constant = -member[0].coeff(s)
-        linear = tuple(-p.coeff(s) for p in member[2:])
-        sections.append(LimitSection(constant, linear))
-    return sections
+    return _separate(family)[1]
 
 
 def stable_replacement_model(family: JetFamily, n: int) -> DegenerationModel:
@@ -287,12 +293,12 @@ def stable_replacement_model(family: JetFamily, n: int) -> DegenerationModel:
             "expected %d members for n = %d, got %d"
             % (n - family.d - 1, n, len(family.members))
         )
-    sections = separated_sections(family)
+    depth, sections = _separate(family)
     groups: dict[LimitSection, list[int]] = {}
     for idx, section in enumerate(sections):
         groups.setdefault(section, []).append(idx)
     classes = tuple(tuple(v) for v in groups.values())
-    return DegenerationModel(family.d, n, tuple(sections), classes)
+    return DegenerationModel(family.d, n, tuple(sections), classes, depth)
 
 
 def validate_degeneration(model: DegenerationModel, eps: EpsRatLike = EPS) -> bool:
@@ -335,13 +341,13 @@ def normalize_to_common_chart(
     base = limits[0]
     if all(x == 0 for x in base):
         raise BadParameters("member 1 vanishes identically at t = 0")
-    key = rref([base])
+    pivot = next(j for j, x in enumerate(base) if x != 0)
     for i, lim in enumerate(limits[1:], start=2):
-        if any(x != 0 for x in lim) and rref([lim]) != key:
+        # lim is proportional to base exactly when lim = (lim_p / base_p) * base.
+        if any(base[pivot] * y != base[j] * lim[pivot] for j, y in enumerate(lim)):
             raise BadParameters("member %d has a different limit hyperplane" % i)
         if all(x == 0 for x in lim):
             raise BadParameters("member %d vanishes identically at t = 0" % i)
-    pivot = next(j for j, x in enumerate(base) if x != 0)
     # Invertible map on coefficient vectors: a_pivot/base_pivot lands in
     # slot 1, the complements a_q - (base_q/base_pivot) a_pivot (which
     # vanish at t = 0) fill the remaining slots in index order.

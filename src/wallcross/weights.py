@@ -15,25 +15,27 @@ vectors sit exactly on integer levels just outside the strict range and
 those incidences are the ones the closed-form statements describe.
 
 Every incidence is decided on integers.  On first use a weight vector is
-lowered once (`clear_denominators`): each entry is multiplied by one common
-factor D*L, the lcm D of the entry denominators times an integer lcm L.
-Each denominator has lowest coefficient +1, so D*L is positive near e = 0
-and keeps every sign.  Entry i becomes an integer coefficient vector N_i
-and level k becomes k*D*L, so the sign of
-sum_I b_i - k is the lexicographic sign, lowest degree first, of
-sum_I N_i - k*D*L.  Each vector is packed into one int in base 2^bits,
-lowest degree in the most significant digit.  The base exceeds twice the
-largest coefficient that any subset sum minus k*D*L with 0 <= k <= n can
-reach, so no digit carries into the next and that sign is the sign of one
-int subtraction; a rational vector packs to a plain int.
+lowered once (`clear_denominators`), straight from the integer pairs that
+its entries store: each entry is multiplied by one common factor D*L, the
+lcm D of the primitive entry denominators times an integer L.  Each stored
+denominator has a positive lowest coefficient, so D*L is positive near
+e = 0 and keeps every sign.  Entry i becomes an integer coefficient vector
+N_i and level k becomes k*D*L, so the sign of sum_I b_i - k is the
+lexicographic sign, lowest degree first, of sum_I N_i - k*D*L.  Each
+vector is packed into one int in base 2^bits, lowest degree in the most
+significant digit.  The base exceeds twice the largest coefficient that
+any subset sum minus k*D*L with 0 <= k <= n can reach, so no digit carries
+into the next and that sign is the sign of one int subtraction; a rational
+vector packs to a plain int.
 
 One enumerator, `_multiplicities`, walks the multiplicity vectors over the
 value groups of one or two weight vectors with packed incremental sums, and
 drives the walls, the crossings and the chamber predicates.  Q(e) values
 are built only for output: one parameter u0 and one crossing point per
-distinct u0, from integer polynomials that are reduced by their gcd on
-integers first (`EpsRat.from_integers`), so only the reduced values have to
-fit the degree guard.
+distinct u0, from integer polynomials (the crossing points from the
+entries' stored pairs) that are reduced by their gcd on integers first
+(`EpsRat.from_integers`), so only the reduced values have to fit the degree
+guard.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .epsfield import (
     EpsRat,
     EpsRatLike,
     clear_denominators,
-    integer_coeffs,
     poly_add,
     poly_mul,
 )
@@ -356,16 +357,12 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         ),
         key=itemgetter(0),
     )
-    forms = []
-    for _, indices in groups:
-        x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
-        forms.append(integer_coeffs(x.num, x.den) + integer_coeffs(y.num, y.den))
     crossings = []
     for _, run in groupby(keyed, key=itemgetter(0)):
         run = list(run)
         _, num, den, _, _ = run[0]
         u0 = EpsRat.from_integers(num, den)
-        point = _crossing_point(b, groups, forms, u0)
+        point = _crossing_point(b, b2, groups, u0)
         batch = [
             Crossing(Wall(I, k), u0, point)
             for _, _, _, k, mult in run
@@ -376,15 +373,17 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
     return crossings
 
 
-def _crossing_point(b, groups, forms, u0: EpsRat) -> WeightVector:
-    """(1-u0)*b + u0*b2.  With u0 = u/v and forms[g] = (x.num, x.den, y.num,
-    y.den) on integers for the entries x of b and y of b2 in group g, the
-    entry is (x.num*y.den*(v - u) + y.num*x.den*u) / (x.den*y.den*v): built
-    from the entries' own reduced forms, so its degree stays near u0's."""
-    u, v = integer_coeffs(u0.num, u0.den)
+def _crossing_point(b, b2, groups, u0: EpsRat) -> WeightVector:
+    """(1-u0)*b + u0*b2.  With u0 = u/v and the stored integer pairs of the
+    entries x = xn/xd of b and y = yn/yd of b2 in one group, the entry is
+    (xn*yd*(v - u) + yn*xd*u) / (xd*yd*v): built from the entries' own
+    reduced forms, so its degree stays near u0's."""
+    u, v = u0.int_num, u0.int_den
     w = poly_add(v, u, -1)
     entries = [ZERO] * b.n
-    for (_, indices), (xn, xd, yn, yd) in zip(groups, forms):
+    for _, indices in groups:
+        x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
+        xn, xd, yn, yd = x.int_num, x.int_den, y.int_num, y.int_den
         top = poly_add(poly_mul(poly_mul(xn, yd), w), poly_mul(poly_mul(yn, xd), u))
         value = EpsRat.from_integers(top, poly_mul(poly_mul(xd, yd), v))
         for j in indices:

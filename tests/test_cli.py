@@ -149,6 +149,31 @@ def test_mixedsub_lifting_must_be_a_list(capsys, tmp_path, text):
     assert err.count("\n") == 1 and "JSON list" in err
 
 
+@pytest.mark.parametrize("height, shown", [(0.1, "0.1"), (True, "true")])
+def test_mixedsub_lifting_refuses_floats_and_booleans(capsys, tmp_path, height, shown):
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(["0", 0, "1", "0", height, "0"]))
+    argv = ["mixedsub", "--d", "2", "--m", "2", "--lifting", str(path)]
+    err = _one_line_error(capsys, argv)
+    assert "lifting height 5 must be an integer or a rational string, got %s" % shown in err
+
+
+def test_replace_normalises_the_family_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    normalize = cli.jets.JetFamily.normalized_members
+
+    def counted(family):
+        calls.append(1)
+        return normalize(family)
+
+    monkeypatch.setattr(cli.jets.JetFamily, "normalized_members", counted)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(FAMILY))
+    code, doc = run_json(capsys, "replace", str(path), "--n", "5")
+    assert code == 0 and doc["depth"] == 1
+    assert len(calls) == 1
+
+
 def test_mixedsub_random_deterministic(capsys):
     code1, out1 = run(capsys, "mixedsub", "--d", "2", "--m", "3", "--random", "9")
     code2, out2 = run(capsys, "mixedsub", "--d", "2", "--m", "3", "--random", "9")

@@ -21,7 +21,6 @@ from wallcross.epsfield import (
     parse_eps_rat,
     parse_poly,
     parse_rat,
-    poly_gcd,
     poly_mul,
     positivity_radius,
 )
@@ -125,6 +124,12 @@ def test_eval_pole():
 # -- normalization invariants ---------------------------------------------------
 
 
+def poly_gcd(a, b):
+    """Monic gcd over Q of two EpsPoly values, not both zero, by Euclid's
+    algorithm on their Fraction coefficients (`_ref_gcd` below)."""
+    return EpsPoly(_ref_gcd(a.coeffs, b.coeffs))
+
+
 def test_normal_form_random():
     rng = random.Random(2)
     for _ in range(200):
@@ -151,7 +156,10 @@ def test_from_integers_is_the_normal_form():
         if y.is_zero:
             continue
         q = x / y
-        num, den = integer_coeffs(x.num * y.den, x.den * y.num)
+        num, den = integer_coeffs(
+            EpsPoly(poly_mul(x.num.coeffs, y.den.coeffs)),
+            EpsPoly(poly_mul(x.den.coeffs, y.num.coeffs)),
+        )
         assert EpsRat.from_integers(num, den) == q
         assert EpsRat.from_integers(num, den).den.lowest_coeff() == 1
     assert EpsRat.from_integers([0, 0], [3]) == ZERO
@@ -371,6 +379,28 @@ def test_sign_and_order_against_sympy_limits():
         assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
 
 
+def test_arithmetic_builds_no_fractions(monkeypatch):
+    # Operands and results stay on integer coefficient tuples: the field
+    # operations and the order build no Fraction at all.
+    rng = random.Random(13)
+    values = [EpsRat(EpsPoly(num), EpsPoly(den))
+              for num, den in (random_raw_operand(rng) for _ in range(50))]
+    built = [0]
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for a, b in zip(values, values[1:] + values[:1]):
+        a + b, a - b, a * b, a < b, a == b
+        if not b.is_zero:
+            a / b
+    monkeypatch.undo()
+    assert built[0] == 0
+
+
 # -- field and order axioms -----------------------------------------------------
 
 
@@ -485,5 +515,7 @@ def test_parse_poly():
         Fraction(0),
         Fraction(-1),
     )
+    # A constant denominator is not a genuine one.
+    assert parse_poly("t/2 + 1/3", var="t") == (Fraction(1, 3), Fraction(1, 2))
     with pytest.raises(ParseError):
         parse_poly("1/(1+t)", var="t")

@@ -378,6 +378,15 @@ def test_normalize_rejects_mismatched_limits():
         normalize_to_common_chart(2, raw)
 
 
+def test_normalize_accepts_a_negatively_scaled_limit():
+    raw = [
+        (jp(1, 1), jp(2, 1), jp(1, 3)),
+        (jp(-2, 1), jp(-4, 2), jp(-2, 1)),  # limit (-2, -4, -2) = -2 * (1, 2, 1)
+    ]
+    fam = normalize_to_common_chart(2, raw)
+    assert [member[1].constant for member in fam.members] == [1, -2]
+
+
 def test_family_work_guard():
     # members * (d+1) * order^2: 21 * 3 * 32^2 = 64,512 fits, 22 members do not.
     member = (jp(0, 1, order=32), jp(1, order=32), jp(0, 2, order=32))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross import mixedsub
-from wallcross.epsfield import EPS, EpsPoly, EpsRat
+from wallcross.epsfield import EPS, EpsPoly, EpsRat, poly_mul
 from wallcross.errors import (
     BadParameters,
     DegreeOverflow,
@@ -368,7 +368,7 @@ def test_lowering_exceeds_the_epspoly_degree_guard():
     with pytest.raises(DegreeOverflow):
         product = EpsPoly((1,))
         for h in lift:
-            product = product * h.den
+            product = EpsPoly(poly_mul(product.coeffs, h.den.coeffs))
     S = regular_mixed_subdivision(2, 3, lift)
     assert faces_of(S) == [
         ((0,), (0,), (0, 1, 2)),

@@ -48,3 +48,21 @@ def test_no_floats():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [where + " math." + a.name for a in node.names if a.name in banned]
     assert found == []
+
+
+def test_only_epsfield_sees_the_rational_form():
+    # Q(e) is stored on integers behind epsfield: no other module imports
+    # EpsPoly or integer_coeffs, or reads the rational .num / .den.
+    banned = {"EpsPoly", "integer_coeffs", "num", "den"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "epsfield.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.ImportFrom):
+                found += [where + " imports " + a.name for a in node.names if a.name in banned]
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(where + " reads ." + node.attr)
+    assert found == []
