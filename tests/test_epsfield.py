@@ -141,6 +141,31 @@ def test_normal_form_random():
         assert poly_gcd(x.num, x.den).degree <= 0
 
 
+def test_equal_values_hash_equal():
+    # Sets and dict keys mix EpsRat with ints and Fractions: 1 in {ONE}.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-3, 3)
+    values = st.one_of(
+        small,
+        st.fractions(-3, 3, max_denominator=3),
+        st.builds(
+            EpsRat.from_integers,
+            st.lists(small, max_size=2),
+            st.lists(small, min_size=1, max_size=2).filter(any),
+        ),
+    )
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(values, values)
+    def check(x, y):
+        if x == y:
+            assert hash(x) == hash(y)
+
+    check()
+    assert 1 in {ONE} and Fraction(-1, 2) in {(e - 1) / (2 * e + 2) - e / (e + 1)}
+
+
 def test_degree_guard():
     with pytest.raises(DegreeOverflow):
         EpsPoly([1] * (MAX_EPS_DEGREE + 2))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross import mixedsub
-from wallcross.epsfield import EPS, EpsPoly, EpsRat, poly_mul
+from wallcross.epsfield import EPS, EpsPoly, EpsRat, clear_denominators, poly_mul
 from wallcross.errors import (
     BadParameters,
     DegreeOverflow,
@@ -181,6 +181,15 @@ def test_dual_graph_interval_path():
     assert g.edges[0].facet == ((Fraction(1),),)
 
 
+def test_dual_graph_refuses_overlapping_cells():
+    # Cells sharing more than d vertices overlap: no coherent subdivision
+    # has them, so dual_graph reports a breach instead of an edge.
+    S = regular_mixed_subdivision(2, 2, [0, 0, 1, 0, 1, 0])
+    doubled = mixedsub.MixedSubdivision(2, 2, S.lifting, S.cells[:1] * 2)
+    with pytest.raises(InvariantBreach):
+        dual_graph(doubled)
+
+
 def test_dual_graph_matches_facet_scan():
     rng = random.Random(54)
     for d, m in ((1, 4), (2, 2), (2, 3), (2, 4)):
@@ -336,7 +345,126 @@ def reference_faces(d, m, lifting):
     return sorted(out)
 
 
-def test_integer_scan_matches_field_scan_on_perturbed_liftings():
+def int_det(matrix):
+    """Fraction-free (Bareiss) determinant of a small integer matrix."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = m[col][col]
+    return sign * m[n - 1][n - 1]
+
+
+def int_normal(rows):
+    """Integer null vector of the k x (k+1) rows: the generalized cross
+    product, whose j-th entry is the signed minor with column j deleted."""
+    normal = []
+    sign = 1
+    for j in range(len(rows) + 1):
+        minor = [row[:j] + row[j + 1 :] for row in rows]
+        normal.append(sign * int_det(minor))
+        sign = -sign
+    return normal
+
+
+def scan_lower_cells(points, heights, groups):
+    """The former integer lower-hull scan, kept as the reference: every
+    lifted (D+1)-subset meeting every copy spans a hyperplane with integer
+    normal (gamma, delta, c); no point hangs below it when every
+    t = gamma.q + delta + c*h_q has the sign of c or vanishes, and the
+    points with t = 0 form a cell.  t is linear in the height column, so its
+    coefficient of e^k is the same test on the heights h_k, taken in order
+    of k while t ties."""
+    n = len(points)
+    dim = len(points[0])
+    group_count = len(set(groups))
+    levels = len(heights[0])
+    lifted = [
+        [list(p) + [1, heights[i][k]] for i, p in enumerate(points)]
+        for k in range(levels)
+    ]
+    cells = []
+    for subset in itertools.combinations(range(n), dim + 1):
+        if len({groups[i] for i in subset}) != group_count:
+            continue
+        if any(set(subset) <= cell for cell in cells):
+            continue
+        normal = int_normal([lifted[0][i] for i in subset])
+        c = normal[-1]
+        if c == 0:
+            continue
+        normals = [normal]
+        below = False
+        on_face = []
+        for i, row in enumerate(lifted[0]):
+            t = sum(a * x for a, x in zip(normal, row))
+            if t == 0:
+                for k in range(1, levels):
+                    if k == len(normals):
+                        normals.append(int_normal([lifted[k][j] for j in subset]))
+                    t = sum(a * x for a, x in zip(normals[k], lifted[k][i]))
+                    if t:
+                        break
+            if t == 0:
+                on_face.append(i)
+            elif (t > 0) != (c > 0):
+                below = True
+                break
+        if below:
+            continue
+        cell = frozenset(on_face)
+        if cell not in cells:
+            cells.append(cell)
+    return cells
+
+
+def test_lower_cells_match_the_integer_scan():
+    # Potentials against the subset scan on the same integer heights, over
+    # generic, coarse (often non-fine), linear Q(e) and (1+q*e)-denominator
+    # liftings.  The scan costs up to 0.5 s per lifting of d = 2, m = 4 and
+    # of d = 1, m = 6, so the larger shapes get fewer rounds.
+    rng = random.Random(60)
+
+    def linear():
+        return rng.randint(0, 2) + rng.randint(-2, 2) * e
+
+    makers = (
+        lambda: Fraction(rng.randint(0, 10**4), rng.randint(1, 3)),
+        lambda: Fraction(rng.randint(0, 2)),
+        linear,
+        lambda: linear() / (1 + rng.randint(-3, 3) * e),
+    )
+    shapes = [(1, m) for m in range(1, 7)] + [(1, m) for m in range(1, 5)] * 2
+    shapes += [(2, m) for m in (1, 2, 3)] * 4 + [(2, 4)] * 2
+    fine = 0
+    for d, m in shapes:
+        config = cayley_config(d, m)
+        points = [tuple(int(x) for x in p) for p in config.points]
+        groups = [tag[0] for tag in config.tags]
+        for make in makers:
+            heights = clear_denominators([make() for _ in range(m * (d + 1))])
+            got = mixedsub._lower_cells(heights, d)
+            want = scan_lower_cells(points, heights, groups)
+            assert len(got) == len(set(got))
+            assert sorted(map(sorted, got)) == sorted(map(sorted, want)), (d, heights)
+            fine += all(len(cell) == m + d for cell in want)
+    assert 0 < fine < len(shapes) * len(makers)
+
+
+def test_lower_cells_match_field_scan_on_perturbed_liftings():
     rng = random.Random(59)
 
     # Small ranges, so that many point tests tie in their leading terms.
