@@ -4,11 +4,18 @@ An arrangement is an n x (d+1) coefficient matrix, one row per hyperplane,
 rows taken up to scale.  Coincident hyperplanes are allowed (the reference
 configuration needs them).  The intersection lattice is built exactly, on
 integers: every row is reduced to a primitive integer direction, and every
-flat of the level walk carries an integer basis of its linear subspace.
-Meeting a flat with a hyperplane is one fraction-free elimination step on
-that basis, and a hyperplane contains the flat exactly when its direction
-is orthogonal to the basis.  The lattice is built once per arrangement and
-kept on it.
+flat of the level walk carries an integer basis k_1..k_r of its linear
+subspace.
+
+The covers of a flat F come from restriction classes.  A hyperplane H_i
+outside the support of F cuts F in the zero set of its restriction
+r_i = (dir_i.k_1, ..., dir_i.k_r), and two hyperplanes cut F in the same
+flat exactly when their restrictions are proportional.  So the hyperplanes
+outside the support are grouped by their primitive restriction, each class
+is one cover, and the cover's support is F's support plus the class.  One
+fraction-free elimination step (`_meet`) per new cover below codimension d
+gives its kernel basis.  The lattice is built once per arrangement and kept
+on it.
 
 Log canonicity of a weighted arrangement reduces to the flat-sum
 inequality: for every nonempty flat, the total weight of the hyperplanes
@@ -18,20 +25,31 @@ lowering of the weights (see `weights`): one packed-int comparison per flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
-from math import gcd
-
 from .epsfield import EPS, EpsRatLike, Rat
-from .errors import BadParameters, DimensionMismatch, PreconditionViolated, SizeGuard
+from .errors import (
+    BadParameters,
+    DimensionMismatch,
+    InvariantBreach,
+    PreconditionViolated,
+    SizeGuard,
+)
 from .linalg import rref
 from .weights import WeightVector, _lowered, nt_weights, t_weights
 
 #: Flat-lattice construction refuses to run past this many hyperplanes
 #: unless the caller raises the guard explicitly.
 MAX_FLAT_COORDS = 16
+
+# Tuples are built from lists, never from a generator: tuple() over an
+# iterator of unknown length allocates ten slots and shrinks them, so
+# CPython's per-size tuple free lists only fill up.
 
 
 class Arrangement:
@@ -46,7 +64,7 @@ class Arrangement:
             raise DimensionMismatch("expected %d rows, got %d" % (n, len(rows)))
         mat = []
         for i, row in enumerate(rows):
-            vec = tuple(Fraction(x) for x in row)
+            vec = tuple([Fraction(x) for x in row])
             if len(vec) != d + 1:
                 raise DimensionMismatch(
                     "row %d has length %d, expected %d" % (i + 1, len(vec), d + 1)
@@ -73,17 +91,33 @@ class Flat:
     """A nonempty intersection flat of the arrangement.
 
     codim is the rank of the defining rows (1..d; codim d+1 would be empty
-    in P^d and never appears here), support lists every hyperplane index
-    containing the flat, and basis is the RREF of the defining row space,
-    which doubles as a canonical dictionary key.
+    in P^d and never appears here), and support lists every hyperplane index
+    containing the flat.  Within one arrangement the support determines the
+    flat, so equality and hashing use (codim, support) only.  gens holds
+    codim primitive integer directions that cut out the flat, and basis is
+    their RREF over Q, a canonical basis of the defining row space, computed
+    on first read.
     """
 
     codim: int
     support: frozenset[int]
-    basis: tuple[tuple[Fraction, ...], ...]
+    gens: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return rref(self.gens)
 
     def sort_key(self):
         return (self.codim, tuple(sorted(self.support)))
+
+
+def _primitive(ints: list[int]) -> tuple[int, ...]:
+    """A nonzero integer vector up to scale: content divided out, first
+    nonzero entry positive."""
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
 
 
 def _primitive_direction(row: Sequence[Rat]) -> tuple[int, ...]:
@@ -92,16 +126,7 @@ def _primitive_direction(row: Sequence[Rat]) -> tuple[int, ...]:
     lcm = 1
     for x in row:
         lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return _primitive([int(x * lcm) for x in row])
 
 
 def check_size(n: int, size_guard: int = MAX_FLAT_COORDS) -> None:
@@ -113,7 +138,7 @@ def check_size(n: int, size_guard: int = MAX_FLAT_COORDS) -> None:
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
@@ -134,45 +159,48 @@ def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
         if t != t0:
             vec = [p * a - v * b for a, b in zip(k, k0)]
             g = gcd(*vec)
-            out.append(tuple(x // g for x in vec) if g > 1 else tuple(vec))
+            out.append(tuple([x // g for x in vec]) if g > 1 else tuple(vec))
     return out
 
 
 def _whole_space(dim: int) -> list[tuple[int, ...]]:
-    return [tuple(int(s == t) for t in range(dim)) for s in range(dim)]
+    return [tuple([int(s == t) for t in range(dim)]) for s in range(dim)]
 
 
 def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
     """The flats of arr in canonical order; see flats."""
-    n = arr.n
+    d = arr.d
     directions = [_primitive_direction(row) for row in arr.rows]
     result: list[Flat] = []
     seen: set[frozenset[int]] = set()
     # (support, generating rows, kernel basis) of each flat of the current
     # codimension, starting from the whole space at codimension 0.
-    level = [(frozenset(), [], _whole_space(arr.d + 1))]
-    for codim in range(1, arr.d + 1):
+    level = [(frozenset(), (), _whole_space(d + 1))]
+    for codim in range(1, d + 1):
         next_level = []
         for support, gens, kernel in level:
-            covered = set(support)
-            for j in range(1, n + 1):
-                if j in covered:
+            # Hyperplanes outside the support, by primitive restriction to F.
+            classes: dict[tuple[int, ...], list[int]] = {}
+            for i, direction in enumerate(directions, 1):
+                if i in support:
                     continue
-                meet = _meet(kernel, directions[j - 1])
-                new = support | {
-                    i
-                    for i in range(1, n + 1)
-                    if i not in support
-                    and not any(_dot(directions[i - 1], k) for k in meet)
-                }
-                # F meets H_i in this same flat for every new i.
-                covered |= new
+                restriction = [_dot(direction, k) for k in kernel]
+                if not any(restriction):
+                    raise InvariantBreach(
+                        "hyperplane %d contains a flat with support %s"
+                        % (i, sorted(support))
+                    )
+                classes.setdefault(_primitive(restriction), []).append(i)
+            for members in classes.values():
+                new = support.union(members)
                 if new in seen:
                     continue
                 seen.add(new)
-                cand = gens + [directions[j - 1]]
-                result.append(Flat(codim, new, rref(cand)))
-                next_level.append((new, cand, meet))
+                j = members[0]
+                cand = gens + (directions[j - 1],)
+                result.append(Flat(codim, new, cand))
+                if codim < d:
+                    next_level.append((new, cand, _meet(kernel, directions[j - 1])))
         level = next_level
     result.sort(key=Flat.sort_key)
     return tuple(result)
@@ -182,16 +210,19 @@ def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
     """All nonempty intersection flats, each with maximal support, in
     canonical order (codimension, then sorted support).
 
-    Built level by level from the whole space: each flat F of codimension c
-    is met with every hyperplane H_j outside its support.  A maximal support
-    determines its flat, so supports double as dedup keys; every flat of the
-    lattice is reached this way because removing one generating hyperplane
-    from a rank-(c+1) flat leaves a rank-c flat.  Each meet is one integer
-    elimination step on F's kernel basis, and its support is F's plus every
-    hyperplane whose primitive direction is orthogonal to the new basis.
-    Every H_i in that support meets F in the same flat, so each cover of F
-    is computed once.  The stored basis is the RREF of the generating rows
-    over Q, a canonical row-space key, computed once per flat.
+    Built level by level from the whole space.  Every hyperplane H_i outside
+    the support of a flat F restricts to a nonzero functional r_i on F's
+    kernel basis, and F meets H_i in the zero set of r_i, so the covers of F
+    are the classes of proportional restrictions.  Each class C is read off
+    one primitive key (content divided out, first nonzero entry positive);
+    its cover has support support(F) | C, cut out by F's generating rows
+    plus the direction of min(C).  A maximal support determines its flat,
+    so supports double as dedup keys across the flats of one level; every
+    flat of the lattice is reached because removing one generating
+    hyperplane from a rank-(c+1) flat leaves a rank-c flat.  A new cover
+    below codimension d gets its kernel basis from one integer elimination
+    step on F's.  A zero restriction would mean F's support was not
+    maximal, and raises InvariantBreach.
 
     The lattice is built on the first call and kept on arr; the size guard
     is checked on every call, and each call returns a new list.
@@ -268,7 +299,7 @@ def e_configuration(d: int, n: int) -> Arrangement:
         raise BadParameters("need d >= 1 and n >= d + 3")
     rows = []
     for i in range(d + 1):
-        rows.append(tuple(1 if j == i else 0 for j in range(d + 1)))
+        rows.append(tuple([1 if j == i else 0 for j in range(d + 1)]))
     ones = (1,) * (d + 1)
     rows.extend([ones] * (n - d - 1))
     return Arrangement(d, n, rows)

@@ -180,6 +180,8 @@ class PairingSurface:
         divisor: Sequence[EpsRatLike],
     ):
         m = len(matrix)
+        if m == 0:
+            raise BadParameters("a pairing surface needs at least one boundary curve")
         rows = []
         for row in matrix:
             vec = tuple(Rat(x) for x in row)

@@ -56,14 +56,6 @@ def crossing_to_json(c: weights.Crossing) -> dict:
     }
 
 
-def arrangement_to_json(a: arr_mod.Arrangement) -> dict:
-    return {
-        "d": a.d,
-        "n": a.n,
-        "hyperplanes": [[str(x) for x in row] for row in a.rows],
-    }
-
-
 def arrangement_from_json(doc: Any) -> arr_mod.Arrangement:
     what = "arrangement document"
     d, n = _json_int(doc, "d", what), _json_int(doc, "n", what)
@@ -271,13 +263,14 @@ def cmd_ample(args) -> int:
     if not args.surface:
         raise ParseError("the pairing model needs a surface JSON file")
     doc = _load_json(args.surface)
-    try:
-        surface = blowup.PairingSurface(
-            [[parse_rat(x) for x in row] for row in doc["matrix"]],
-            [parse_eps_rat(x) for x in doc["divisor"]],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed surface document: %s" % exc) from exc
+    what = "surface document"
+    matrix = []
+    for i, row in enumerate(_json_list(doc, "matrix", what), 1):
+        if not isinstance(row, list):
+            raise ParseError("matrix row %d must be a JSON list" % i)
+        matrix.append([parse_rat(x) for x in row])
+    divisor = [parse_eps_rat(x) for x in _json_list(doc, "divisor", what)]
+    surface = blowup.PairingSurface(matrix, divisor)
     degrees = [str(surface.curve_degree(j)) for j in range(surface.curve_count)]
     _emit({"pairings": degrees, "ample": blowup.ample_from_pairing(surface)}, args)
     return 0

@@ -91,7 +91,7 @@ class WeightVector:
     def __init__(self, d: int, n: int, entries: Iterable[EpsRatLike]):
         if d < 1 or n < d + 3:
             raise BadParameters("need d >= 1 and n >= d + 3, got d=%s n=%s" % (d, n))
-        vals = tuple(EpsRat.coerce(x) for x in entries)
+        vals = tuple([EpsRat.coerce(x) for x in entries])
         if len(vals) != n:
             raise DimensionMismatch("expected %d entries, got %d" % (n, len(vals)))
         for i, x in enumerate(vals):
@@ -231,7 +231,7 @@ def _lowered(b: WeightVector) -> _Lowered:
         )
         bits = (2 * reach).bit_length()
         b._lowered = _Lowered(
-            bits, unit, _pack(unit, bits), tuple(_pack(v, bits) for v in coeffs)
+            bits, unit, _pack(unit, bits), tuple([_pack(v, bits) for v in coeffs])
         )
     return b._lowered
 

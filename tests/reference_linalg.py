@@ -1,0 +1,46 @@
+"""Fraction-free matrix rank: a test-side reference that shares no code with
+the integer kernel walk in `wallcross.arrangement`."""
+
+from fractions import Fraction
+from math import gcd
+
+
+def _integer_rows(rows):
+    """Clear denominators row by row: rank is invariant under row scaling."""
+    out = []
+    for row in rows:
+        if all(isinstance(x, int) for x in row):
+            out.append(list(row))
+            continue
+        lcm = 1
+        for x in row:
+            d = Fraction(x).denominator
+            lcm = lcm * d // gcd(lcm, d)
+        out.append([int(x * lcm) for x in row])
+    return out
+
+
+def bareiss_rank(rows):
+    """Matrix rank by fraction-free (Bareiss) elimination on integer rows."""
+    m = _integer_rows(rows)
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < n_rows and col < n_cols:
+        pivot_row = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        piv = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            for c in range(col + 1, n_cols):
+                m[r][c] = (m[r][c] * piv - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = piv
+        rank += 1
+        col += 1
+    return rank

@@ -20,9 +20,11 @@ from wallcross.arrangement import (
     is_stable,
 )
 from wallcross.epsfield import EPS, EpsRat
-from wallcross.errors import BadParameters, PreconditionViolated, SizeGuard
-from wallcross.linalg import bareiss_rank, rref
+from wallcross.errors import BadParameters, InvariantBreach, PreconditionViolated, SizeGuard
+from wallcross.linalg import rref
 from wallcross.weights import WeightVector, nt_weights, t_weights
+
+from reference_linalg import bareiss_rank
 
 e = EPS
 
@@ -88,7 +90,7 @@ def reference_flats(arr):
     result = []
     level = []
     for direction, indices in by_direction.items():
-        flat = Flat(1, frozenset(indices), rref([direction]))
+        flat = Flat(1, frozenset(indices), (direction,))
         result.append(flat)
         level.append((flat, [direction]))
     seen_supports = {flat.support for flat in result}
@@ -107,7 +109,7 @@ def reference_flats(arr):
                 if support in seen_supports:
                     continue
                 seen_supports.add(support)
-                new = Flat(codim, support, rref(cand))
+                new = Flat(codim, support, tuple(cand))
                 result.append(new)
                 next_level.append((new, cand))
         level = next_level
@@ -267,11 +269,77 @@ def test_flats_size_guard():
     assert flats(arr, size_guard=17)  # explicit opt-in
 
 
+def parallel_rows_arrangement(rng, d, n):
+    """Small rows in [-1, 1] where about a third are rescaled copies of an
+    earlier row: many coincident and concurrent hyperplanes."""
+    rows = []
+    while len(rows) < n:
+        if rows and rng.random() < 0.35:
+            scale = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5)))
+            rows.append([scale * x for x in rng.choice(rows)])
+            continue
+        row = [rng.randint(-1, 1) for _ in range(d + 1)]
+        if any(row):
+            rows.append(row)
+    return Arrangement(d, n, rows)
+
+
 def test_flats_match_the_bareiss_reference():
-    for arr in lattice_corpus():
+    rng = random.Random(32)
+    four = [parallel_rows_arrangement(rng, 4, n) for n in (7, 8, 8)]
+    four.append(e_image(rng, 4, 8))
+    for arr in lattice_corpus() + four:
         got = [(f.codim, f.support, f.basis) for f in flats(arr)]
         want = [(f.codim, f.support, f.basis) for f in reference_flats(arr)]
         assert got == want, arr.rows
+
+
+def test_flat_basis_is_the_rref_of_its_generators():
+    arr = e_configuration(3, 7)
+    for f in flats(arr):
+        assert len(f.gens) == f.codim
+        assert f.basis == rref(f.gens)
+        assert f.basis is f.basis  # computed once
+        # Equality and hashing read (codim, support) only.
+        twin = Flat(f.codim, f.support, tuple(reversed(f.gens)))
+        assert twin == f and hash(twin) == hash(f)
+    assert "gens" not in repr(f)
+
+
+def test_a_flat_inside_a_hyperplane_outside_its_support_is_a_breach(monkeypatch):
+    # A meet that drops a kernel vector makes a smaller flat than the one
+    # its support names, which some hyperplane outside the support contains.
+    real = arrangement_module._meet
+    monkeypatch.setattr(arrangement_module, "_meet", lambda kernel, row: real(kernel, row)[:1])
+    with pytest.raises(InvariantBreach):
+        flats(e_configuration(2, 6))
+
+
+# -- independent log-canonicity oracle ---------------------------------------------
+
+
+def subset_ranks(arr):
+    """rank(X) for every subset X of hyperplanes, indexed by bitmask."""
+    return [
+        bareiss_rank([arr.rows[i] for i in range(arr.n) if mask >> i & 1])
+        for mask in range(1 << arr.n)
+    ]
+
+
+def subset_lc_oracle(arr, ranks, b):
+    """Log canonicity as b(X) <= r(X) for every subset X with r(X) <= d.
+
+    Closing X under the hyperplanes through its flat adds only weights
+    >= 0 and keeps the rank, so this is the flat-sum test with no lattice:
+    all 2^n subsets, Q(e) sums built one element at a time.
+    """
+    sums = [EpsRat.from_rat(0)] * (1 << arr.n)
+    for mask in range(1, 1 << arr.n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + b.entries[low.bit_length() - 1]
+        if ranks[mask] <= arr.d and sums[mask] > ranks[mask]:
+            return False
+    return True
 
 
 def _light(rng):
@@ -329,6 +397,52 @@ def test_flat_sums_match_the_qe_reference():
             assert is_log_canonical(arr, b) == LogCanonicalVerdict(witness is None, witness)
             statuses.add(want[0])
     assert statuses == {"stable", "not-lc", "not-positive"}
+
+
+def oracle_corpus():
+    """(arrangement, weight vectors), n <= 10: random, parallel-row and
+    e_configuration arrangements under random rational weights, t, nt,
+    random Q(e) weights and weights putting the closure of a random subset
+    exactly at, above and below its rank."""
+    rng = random.Random(33)
+    arrangements = [e_configuration(d, n) for d, n in ((1, 5), (2, 6), (2, 9), (3, 7), (3, 10))]
+    for _ in range(10):
+        d = rng.randint(1, 3)
+        arrangements.append(random_arrangement(rng, d, rng.randint(d + 3, 9)))
+        arrangements.append(parallel_rows_arrangement(rng, d, rng.randint(d + 3, 9)))
+    arrangements.append(parallel_rows_arrangement(rng, 2, 10))
+    for arr in arrangements:
+        d, n = arr.d, arr.n
+        ranks = subset_ranks(arr)
+        vectors = [t_weights(d, n), nt_weights(d, n)]
+        vectors.append(WeightVector(d, n, [Fraction(rng.randint(1, 12), 12) for _ in range(n)]))
+        vectors.append(WeightVector(d, n, [
+            _light(rng) / (1 + rng.randint(0, 3) * e) for _ in range(n)
+        ]))
+        for excess in (0, 1, -1):
+            mask = rng.randrange(1, 1 << n)
+            while ranks[mask] > d:
+                mask &= mask - 1
+            closure = frozenset(
+                i + 1 for i in range(n) if ranks[mask | 1 << i] == ranks[mask]
+            )
+            vectors.append(_tie_weights(rng, arr, Flat(ranks[mask], closure, ()), excess))
+        yield arr, ranks, vectors
+
+
+def test_log_canonicity_matches_the_subset_oracle():
+    answers = set()
+    for arr, ranks, vectors in oracle_corpus():
+        for b in vectors:
+            verdict = is_log_canonical(arr, b)
+            assert verdict.is_lc == subset_lc_oracle(arr, ranks, b), (arr.rows, b)
+            answers.add(verdict.is_lc)
+            if not verdict.is_lc:
+                witness = verdict.witness
+                mask = sum(1 << (i - 1) for i in witness.support)
+                assert ranks[mask] == witness.codim
+                assert sum(b.entries[i - 1] for i in witness.support) > witness.codim
+    assert answers == {True, False}
 
 
 def reference_is_e_type(arr):

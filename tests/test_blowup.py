@@ -154,6 +154,8 @@ def test_pairing_surface_validation():
         PairingSurface([[0, 1], [2, 0]], [1, 1])  # not symmetric
     with pytest.raises(DimensionMismatch):
         PairingSurface([[0, 1], [1, 0]], [1, 1, 1])
+    with pytest.raises(BadParameters):
+        PairingSurface([], [])  # no boundary curves
 
 
 def test_small_coefficient_threshold_property():

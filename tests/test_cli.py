@@ -281,6 +281,23 @@ def test_numeric_pairing_matrix_entries(capsys, tmp_path):
     assert "expected a rational number" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"matrix": [], "divisor": []}, "needs at least one boundary curve"),
+        ([[[0, 1], [1, 0]], ["1", "1"]], "surface document must be a JSON object"),
+        ({"matrix": [["0", "1"], ["1", "0"]]}, "has no 'divisor' field"),
+        ({"matrix": "0 1 1 0", "divisor": ["1", "1"]}, "field 'matrix' must be a JSON list"),
+        ({"matrix": [["1"]], "divisor": "1"}, "field 'divisor' must be a JSON list"),
+        ({"matrix": [["0", "1"], 1], "divisor": ["1", "1"]}, "matrix row 2 must be a JSON list"),
+    ],
+)
+def test_malformed_surface_documents(capsys, tmp_path, doc, message):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    assert message in _one_line_error(capsys, ["ample", "--model", "pairing", str(path)])
+
+
 def test_size_guard_message_at_large_n(capsys):
     # 2^n past 4300 digits cannot be printed in full; the guard still reports.
     argv = ["walls", "--weights", "t", "--d", "1", "--n", "15000"]

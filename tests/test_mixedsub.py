@@ -17,7 +17,6 @@ from wallcross.errors import (
     SizeGuard,
     WrongDimension,
 )
-from wallcross.linalg import bareiss_rank
 from wallcross.mixedsub import (
     cayley_config,
     cell_vertices,
@@ -27,6 +26,8 @@ from wallcross.mixedsub import (
     qcartier_defect_cells,
     regular_mixed_subdivision,
 )
+
+from reference_linalg import bareiss_rank
 
 e = EPS
 
