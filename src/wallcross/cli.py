@@ -4,7 +4,10 @@ Subcommands: walls, segment, chamber, stability, ample, replace, mixedsub,
 verify-paper.  Data commands read and write JSON documents whose scalar
 leaves are exact rational-function strings; verify-paper replays the
 package's golden identities and exits nonzero if any fails.  Exit codes:
-0 success, 1 failed assertion suite, 2 bad input.
+0 success, 1 failed assertion suite, 2 bad input.  Bad input covers the
+arguments too: a missing, unknown or malformed argument makes main return 2
+with one `error:` line on stderr and nothing on stdout, as a malformed
+document does.  Only --help leaves main by SystemExit, with code 0.
 """
 
 from __future__ import annotations
@@ -470,17 +473,27 @@ def cmd_verify_paper(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ParseError instead of printing usage
+    and exiting; its subparsers are of the same class.  The message quotes
+    unrecognized arguments verbatim, so their line breaks are flattened."""
+
+    def error(self, message: str):
+        raise ParseError(" ".join(message.splitlines()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wallcross",
         description="Exact wall-and-chamber computations for weighted hyperplane arrangements.",
+        epilog="Exit codes: 0 success, 1 a failed verify-paper identity, 2 bad arguments "
+        "or input, reported in one 'error:' line on stderr.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_dn=True):
-        if with_dn:
-            p.add_argument("--d", type=int, default=None)
-            p.add_argument("--n", type=int, default=None)
+    def add_common(p):
+        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--n", type=int, default=None)
         p.add_argument("--eps", default=None, help="concrete rational eps (default: symbolic)")
         p.add_argument("--output", default=None, help="write the JSON report here")
 
@@ -535,9 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except WallcrossError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -583,9 +583,6 @@ def format_poly(coeffs: Sequence[RatLike], var: str = "e", den: int = 1) -> str:
     return out
 
 
-_TOKEN_OPS = ("**", "+", "-", "*", "/", "^", "(", ")")
-
-
 def _tokenize(text: str, var: str):
     tokens = []
     i, n = 0, len(text)

@@ -13,6 +13,12 @@ order at which the normalized members differ) and the order-s data matter,
 because the intermediate components are contracted again (their log
 divisors have fiber degree zero, see blowup.ruled_fiber_degree).
 
+No jet is divided.  For units a and b, p/a and q/b agree modulo t^(k+1)
+exactly when the cross products p*b and q*a do.  The separation pass clears
+each member's denominators with one factor, which leaves p/a unchanged, and
+builds the integer cross products against the first member one order at a
+time, up to the first order s where one is nonzero (see _separate).
+
 Jets are truncated, never lazy: if a family is indistinguishable at its
 truncation order, that is an explicit error, not a guess.
 """
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .blowup import degeneration_log_divisor, is_ample_blowup, y1_log_divisor
@@ -28,22 +35,22 @@ from .epsfield import EPS, EpsRatLike, Rat
 from .errors import (
     BadParameters,
     DimensionMismatch,
-    DivisionByZero,
     IndistinguishableAtTruncation,
     InsufficientTruncation,
     NotInNormalForm,
     SizeGuard,
 )
 
-#: Truncation orders past this are refused: normalising a member inverts and
-#: multiplies jets, at least order^2 operations on growing rationals each.
+#: Truncation orders past this are refused: separating a family builds
+#: cross products of jets, up to order^2 products of growing integers each.
 MAX_JET_ORDER = 64
 
 #: Families are refused past this many coefficient products, estimated as
-#: members * (d+1) * order^2 (see check_size): normalising a member inverts
-#: its a_1 and divides its d+1 jets by it.  Random dense families in P^2 at
-#: this cap took 1.3 s (21 members of order 32) and 2.8 s (1365 members of
-#: order 4, mostly parsing) through `replace` on a 2-vCPU x86_64 host.
+#: members * (d+1) * order^2 (see check_size); separating one builds at most
+#: members * (d+1) * s^2, at depth s < order.  Random dense families in P^2
+#: at this cap took 0.11 s (21 members of order 32, at depth 1 or 31) and
+#: 0.58 s (1365 members of order 4, mostly parsing) of CPU through `replace`
+#: on a 2-vCPU x86_64 host.
 MAX_FAMILY_WORK = 2**16
 
 
@@ -80,9 +87,6 @@ class JetPoly:
     def constant(self) -> Fraction:
         return self.coeffs[0]
 
-    def truncate(self, order: int) -> "JetPoly":
-        return JetPoly(self.coeffs, min(order, self.order))
-
     def __add__(self, other: "JetPoly") -> "JetPoly":
         order = min(self.order, other.order)
         return JetPoly(
@@ -109,21 +113,6 @@ class JetPoly:
         c = Fraction(c)
         return JetPoly([c * a for a in self.coeffs], self.order)
 
-    def inverse(self) -> "JetPoly":
-        """Multiplicative inverse of a unit, to the same truncation order."""
-        if self.constant == 0:
-            raise DivisionByZero("jet is not a unit: constant term vanishes")
-        inv = [1 / self.constant]
-        for k in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * inv[k - i]
-            inv.append(-acc / self.constant)
-        return JetPoly(inv, self.order)
-
-    def __truediv__(self, other: "JetPoly") -> "JetPoly":
-        return self * other.inverse()
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, JetPoly):
             return self.coeffs == other.coeffs and self.order == other.order
@@ -136,12 +125,9 @@ class JetPoly:
         return "JetPoly(%s; order=%d)" % (list(self.coeffs), self.order)
 
 
-Member = tuple[JetPoly, ...]
-
-
 def check_size(members: int, d: int, order: int) -> None:
-    """Refuse a family whose normalisation would pass MAX_FAMILY_WORK
-    coefficient products, stating the estimate."""
+    """Refuse a family whose separation pass could build more than
+    MAX_FAMILY_WORK coefficient products, stating the estimate."""
     work = members * (d + 1) * order * order
     if work > MAX_FAMILY_WORK:
         raise SizeGuard(
@@ -189,15 +175,6 @@ class JetFamily:
         """Common truncation order: the minimum over all stored jets."""
         return min(p.order for member in self.members for p in member)
 
-    def normalized_members(self) -> list[Member]:
-        """Members divided by their a_1, truncated to the common order."""
-        order = self.order
-        out = []
-        for member in self.members:
-            unit = member[1].truncate(order)
-            out.append(tuple(p.truncate(order) / unit for p in member))
-        return out
-
 
 @dataclass(frozen=True)
 class LimitSection:
@@ -240,27 +217,48 @@ def limit_section(member: Sequence[JetPoly]) -> LimitSection:
     return LimitSection(constant, linear)
 
 
+def _integer_member(member: Sequence[JetPoly], order: int) -> list[list[int]]:
+    """The member's jets below t^order, times the lcm of their denominators:
+    one factor for the whole member, so p / a_1 is unchanged."""
+    jets = [p.coeffs[:order] for p in member]
+    scale = lcm(*(c.denominator for jet in jets for c in jet))
+    return [[c.numerator * (scale // c.denominator) for c in jet] for jet in jets]
+
+
 def _separate(family: JetFamily) -> tuple[int, list[LimitSection]]:
     """The separation depth s and the sections read at order s, from one
-    normalisation of the family."""
+    cross-multiplied pass over the family.
+
+    Let p be the first member with unit a, and q another with unit b.  As
+    p_j/a - q_j/b = (p_j*b - q_j*a) / (a*b), the cross products vanish below
+    t^s, and at t^s q's section is p's plus their coefficient over a(0)*b(0).
+    Only p is divided, as a series to order s.  Slot 1 is skipped: its cross
+    product a*b - b*a is zero.
+    """
     if len(family.members) < 2:
         raise BadParameters("separation needs at least two members")
-    members = family.normalized_members()
-    first = members[0]
-    for s in range(1, family.order):
-        if any(
-            p.coeff(s) != q.coeff(s) for other in members[1:] for p, q in zip(first, other)
-        ):
+    order = family.order
+    first, *rest = [_integer_member(member, order) for member in family.members]
+    a = first[1]
+    slots = [0] + list(range(2, family.d + 1))
+    for s in range(1, order):
+        cross = [[sum(first[j][i] * q[1][s - i] - q[j][i] * a[s - i] for i in range(1, s + 1))
+                  for j in slots] for q in rest]
+        if any(any(row) for row in cross):
             break
     else:
-        raise IndistinguishableAtTruncation(
-            "all members agree modulo t^%d" % family.order
-        )
-    sections = [
-        LimitSection(-member[0].coeff(s), tuple(-p.coeff(s) for p in member[2:]))
-        for member in members
-    ]
-    return s, sections
+        raise IndistinguishableAtTruncation("all members agree modulo t^%d" % order)
+    # The first member's sections: -(p_j / a) at t^s, by series division.
+    base = []
+    for j in slots:
+        quotient = []
+        for k in range(s + 1):
+            acc = first[j][k] - sum(a[i] * quotient[k - i] for i in range(1, k + 1))
+            quotient.append(Fraction(acc, a[0]))
+        base.append(-quotient[s])
+    values = [base] + [[c + Fraction(x, a[0] * q[1][0]) for c, x in zip(base, row)]
+                       for q, row in zip(rest, cross)]
+    return s, [LimitSection(v[0], tuple(v[1:])) for v in values]
 
 
 def separation_depth(family: JetFamily) -> int:

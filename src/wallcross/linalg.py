@@ -22,7 +22,6 @@ def rref(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
     if not m:
         return ()
     n_rows, n_cols = len(m), len(m[0])
-    pivots = []
     r = 0
     for c in range(n_cols):
         pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
@@ -35,7 +34,6 @@ def rref(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
         r += 1
         if r == n_rows:
             break

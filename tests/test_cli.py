@@ -160,13 +160,13 @@ def test_mixedsub_lifting_refuses_floats_and_booleans(capsys, tmp_path, height, 
 
 def test_replace_normalises_the_family_once(capsys, tmp_path, monkeypatch):
     calls = []
-    normalize = cli.jets.JetFamily.normalized_members
+    separate = cli.jets._separate
 
     def counted(family):
         calls.append(1)
-        return normalize(family)
+        return separate(family)
 
-    monkeypatch.setattr(cli.jets.JetFamily, "normalized_members", counted)
+    monkeypatch.setattr(cli.jets, "_separate", counted)
     path = tmp_path / "family.json"
     path.write_text(json.dumps(FAMILY))
     code, doc = run_json(capsys, "replace", str(path), "--n", "5")
@@ -216,6 +216,27 @@ def test_bad_input_exit_codes(capsys):
     assert main(["walls", "--weights", "t", "--d", "2", "--n", "6", "--eps", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["walls", "--weights", "t", "--d", "2", "--n", "6", "--eps"], "--eps: expected one argument"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["walls", "--d", "2", "--n", "6"], "arguments are required: --weights"),
+        (["mixedsub", "--d", "3", "--m", "2", "--random", "1"], "--d: invalid choice: 3"),
+        (["walls", "--weights", "t", "--d", "2", "--n", "6", "a\nb"], "unrecognized arguments: a b"),
+    ],
+)
+def test_argument_errors_return_2_with_one_line(capsys, argv, message):
+    assert message in _one_line_error(capsys, argv)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["replace", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wallcross replace")
+
+
 def test_malformed_json_never_raises(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -226,8 +247,8 @@ def test_malformed_json_never_raises(capsys, tmp_path):
 
 def _one_line_error(capsys, argv):
     code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
 

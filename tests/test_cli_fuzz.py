@@ -1,10 +1,11 @@
-"""Generated documents for `stability`: every input ends in a report (exit 0)
-or in one line on stderr (exit 2), never in a traceback.
+"""Generated documents for `stability` and `replace`: every input ends in a
+report (exit 0) or in one line on stderr (exit 2), never in a traceback.
 
 The run is derandomized and bounded, so it is the same on every machine.
 """
 
 import json
+import random
 
 import pytest
 
@@ -45,12 +46,14 @@ ODD_INTS = st.one_of(
 def _corrupt(draw, doc, rows_key):
     """Leave doc well formed or break one thing about it."""
     rows = doc[rows_key]
+    ints = [key for key in ("d", "n", "truncation") if key in doc]
+    nested = rows_key != "entries"
     kind = draw(st.sampled_from(
-        ["none"] * 8 + ["d", "n", "row", "shape", "entry", "rows", "document"]
+        ["none"] * 8 + ints + ["row", "shape", "entry", "rows", "document"]
     ))
-    if kind in ("d", "n"):
+    if kind in ints:
         doc[kind] = draw(ODD_INTS)
-    elif kind == "row" and rows_key == "hyperplanes":
+    elif kind == "row" and nested:
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = draw(st.one_of(
             st.just(["0"] * len(rows[i])),
@@ -64,7 +67,7 @@ def _corrupt(draw, doc, rows_key):
             rows.append(draw(st.sampled_from(rows)))
     elif kind in ("entry", "row"):
         i = draw(st.integers(0, len(rows) - 1))
-        if rows_key == "hyperplanes":
+        if nested:
             rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(ODD_ENTRIES)
         else:
             rows[i] = draw(ODD_ENTRIES)
@@ -145,3 +148,48 @@ def test_stability_documents_exit_0_or_2(capsys, tmp_path, call):
     else:
         assert err == ""
         assert json.loads(out)["status"] in ("stable", "not-lc", "not-positive")
+
+
+@st.composite
+def family_documents(draw):
+    """A replace document: d + 1 jet texts per member, nearly always in the
+    normal form (a_1(0) != 0, the other jets vanishing at t = 0), sometimes
+    with a member repeated."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def jet(unit):
+        coeffs = ["%d/%d" % (rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.97:
+            coeffs[0] = rng.choice(["1", "-2", "3/2"]) if unit else "0"
+        return " + ".join("%s*t^%d" % (c, k) for k, c in enumerate(coeffs))
+
+    d = rng.choice((1, 2, 2, 3, 3))
+    members = [[jet(j == 1) for j in range(d + 1)] for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.2:
+        members.append(list(rng.choice(members)))
+    doc = {"d": d, "truncation": rng.randint(2, 6), "members": members}
+    return _corrupt(draw, doc, "members")
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(doc=family_documents(), n=st.sampled_from([None] * 6 + [5, 7, 8]),
+       eps=st.sampled_from([None] * 6 + ["1/100", "1/2", "x"]))
+def test_replace_documents_exit_0_or_2(capsys, tmp_path, doc, n, eps):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    flags = (["--n", str(n)] if n is not None else []) + (["--eps", eps] if eps else [])
+    code = main(["replace", str(path)] + flags)
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        assert json.loads(out)["depth"] >= 1

@@ -11,6 +11,7 @@ from wallcross.errors import (
     InsufficientTruncation,
     NotInNormalForm,
     SizeGuard,
+    WallcrossError,
 )
 from wallcross.jets import (
     MAX_FAMILY_WORK,
@@ -18,6 +19,7 @@ from wallcross.jets import (
     JetFamily,
     JetPoly,
     LimitSection,
+    _separate,
     limit_section,
     normalize_to_common_chart,
     separated_sections,
@@ -51,6 +53,42 @@ def section_oracle(member, xs):
     assert numerator[0] == 0
     shifted = numerator[1:]  # exact division by t
     return -shifted[0] / member[1].constant
+
+
+def reference_inverse(unit):
+    """Multiplicative inverse of a unit jet, to the same truncation order."""
+    inv = [1 / unit.constant]
+    for k in range(1, unit.order):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += unit.coeffs[i] * inv[k - i]
+        inv.append(-acc / unit.constant)
+    return JetPoly(inv, unit.order)
+
+
+def reference_normalized_members(family):
+    """Members divided by their a_1 as power series, truncated to the common
+    order: the normalisation that the cross-multiplied pass replaces."""
+    order = family.order
+    out = []
+    for member in family.members:
+        inverse = reference_inverse(JetPoly(member[1].coeffs, order))
+        out.append(tuple(JetPoly(p.coeffs, order) * inverse for p in member))
+    return out
+
+
+def reference_separate(family):
+    """Depth and sections by comparing the normalized members order by order."""
+    members = reference_normalized_members(family)
+    first = members[0]
+    for s in range(1, family.order):
+        if any(p.coeffs[s] != q.coeffs[s] for other in members[1:] for p, q in zip(first, other)):
+            break
+    else:
+        raise IndistinguishableAtTruncation("all members agree modulo t^%d" % family.order)
+    return s, [
+        LimitSection(-m[0].coeffs[s], tuple(-p.coeffs[s] for p in m[2:])) for m in members
+    ]
 
 
 def eval_section(section, xs):
@@ -183,7 +221,7 @@ def test_depth_monotonicity():
     for depth in (1, 2, 3, 4):
         fam, _ = random_family(rng, 2, 3, depth)
         assert separation_depth(fam) >= depth
-        members = fam.normalized_members()
+        members = reference_normalized_members(fam)
         for a, b in zip(members, members[1:]):
             agree = all(
                 p.coeffs[:depth] == q.coeffs[:depth] for p, q in zip(a, b)
@@ -198,6 +236,57 @@ def test_depth_matches_construction_oracle():
         depth = rng.randint(1, 4)
         fam, expected = random_family(rng, d, rng.randint(2, 5), depth)
         assert separation_depth(fam) == expected
+
+
+def differential_family(rng):
+    """A family for the differential test: d in {1, 2, 3}, 2-6 members,
+    order 2-8, split at a random depth (at or past the order, the members
+    are indistinguishable), random unit rescalings, some members duplicated
+    or rescaled copies of another, and some jets two orders longer."""
+    d = rng.choice((1, 2, 3))
+    order = rng.randint(2, 8)
+    depth = order if rng.random() < 0.1 else rng.randint(1, order - 1)
+    vecs = [
+        tuple(Fraction(0) if j == 1 else Fraction(rng.randint(-2, 2)) for j in range(d + 1))
+        for _ in range(rng.randint(2, 3))
+    ]
+    members = []
+    for i in range(rng.randint(2, 6)):
+        if members and rng.random() < 0.2:
+            raw = rng.choice(members)
+        else:
+            raw = random_normalized_member(rng, d, depth, vecs[i % len(vecs)], order)
+        if rng.random() < 0.4:
+            unit = random_unit(rng, order)
+            raw = tuple(p * unit for p in raw)
+        members.append(raw)
+    for i, member in enumerate(members):
+        members[i] = tuple(
+            JetPoly(list(p.coeffs) + [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                      for _ in range(2)], order + 2)
+            if rng.random() < 0.15
+            else p
+            for p in member
+        )
+    return JetFamily(d, members)
+
+
+def outcome(separate, family):
+    try:
+        return separate(family)
+    except WallcrossError as exc:
+        return type(exc), str(exc)
+
+
+def test_separation_pass_matches_the_series_reference():
+    rng = random.Random(50)
+    kinds = set()
+    for _ in range(1000):
+        family = differential_family(rng)
+        expected = outcome(reference_separate, family)
+        assert outcome(_separate, family) == expected
+        kinds.add(expected[0] if isinstance(expected[0], type) else "depth %d" % expected[0])
+    assert IndistinguishableAtTruncation in kinds and {"depth 1", "depth 4"} <= kinds
 
 
 # -- separated sections ----------------------------------------------------------------
@@ -230,7 +319,7 @@ def test_sections_shift_identically_under_common_perturbation():
     rng = random.Random(44)
     fam, depth = random_family(rng, 2, 3, 2)
     base = separated_sections(fam)
-    normalized = fam.normalized_members()
+    normalized = reference_normalized_members(fam)
     shift = [Fraction(3), Fraction(0), Fraction(-2)]
     shifted_members = []
     for member in normalized:
