@@ -5,7 +5,8 @@ rows taken up to scale.  Coincident hyperplanes are allowed (the reference
 configuration needs them).  The intersection lattice is built exactly, on
 integers: every row is reduced to a primitive integer direction, and every
 flat of the level walk carries an integer basis k_1..k_r of its linear
-subspace.
+subspace.  The integer kernels this walk and `is_e_type` run on (`_meet`,
+`_primitive`, `_clear`, `_independent`) live in `linalg`.
 
 The covers of a flat F come from restriction classes.  A hyperplane H_i
 outside the support of F cuts F in the zero set of its restriction
@@ -13,9 +14,9 @@ r_i = (dir_i.k_1, ..., dir_i.k_r), and two hyperplanes cut F in the same
 flat exactly when their restrictions are proportional.  So the hyperplanes
 outside the support are grouped by their primitive restriction, each class
 is one cover, and the cover's support is F's support plus the class.  One
-fraction-free elimination step (`_meet`) per new cover below codimension d
-gives its kernel basis.  The lattice is built once per arrangement and kept
-on it.
+fraction-free elimination step (`linalg._meet`) per new cover below
+codimension d gives its kernel basis.  The lattice is built once per
+arrangement and kept on it.
 
 Log canonicity of a weighted arrangement reduces to the flat-sum
 inequality: for every nonempty flat, the total weight of the hyperplanes
@@ -27,9 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
-from operator import mul
 from typing import Optional, Sequence
 
 from .epsfield import EPS, EpsRatLike, Rat
@@ -40,11 +38,10 @@ from .errors import (
     PreconditionViolated,
     SizeGuard,
 )
-from .linalg import rref
+from .linalg import _clear, _dot, _independent, _meet, _primitive, _whole_space
 from .weights import WeightVector, _lowered, nt_weights, t_weights
 
-#: Flat-lattice construction refuses to run past this many hyperplanes
-#: unless the caller raises the guard explicitly.
+#: Flat-lattice construction refuses to run past this many hyperplanes.
 MAX_FLAT_COORDS = 16
 
 # Tuples are built from lists, never from a generator: tuple() over an
@@ -94,77 +91,28 @@ class Flat:
     in P^d and never appears here), and support lists every hyperplane index
     containing the flat.  Within one arrangement the support determines the
     flat, so equality and hashing use (codim, support) only.  gens holds
-    codim primitive integer directions that cut out the flat, and basis is
-    their RREF over Q, a canonical basis of the defining row space, computed
-    on first read.
+    codim independent primitive integer directions that cut out the flat:
+    rows of the arrangement, one per level of the walk that reached it.
     """
 
     codim: int
     support: frozenset[int]
     gens: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
-    @cached_property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return rref(self.gens)
-
     def sort_key(self):
         return (self.codim, tuple(sorted(self.support)))
-
-
-def _primitive(ints: list[int]) -> tuple[int, ...]:
-    """A nonzero integer vector up to scale: content divided out, first
-    nonzero entry positive."""
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
 
 
 def _primitive_direction(row: Sequence[Rat]) -> tuple[int, ...]:
     """Integer representative of a row up to scale: denominators cleared,
     content divided out, first nonzero entry positive."""
-    lcm = 1
-    for x in row:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return _primitive([int(x * lcm) for x in row])
+    return _primitive(_clear([row])[0])
 
 
-def check_size(n: int, size_guard: int = MAX_FLAT_COORDS) -> None:
-    """Refuse flat enumeration past size_guard hyperplanes."""
-    if n > size_guard:
-        raise SizeGuard(
-            "flat enumeration capped at n <= %d (pass size_guard to raise)" % size_guard
-        )
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
-
-
-def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
-    """An integer basis of {x in span(kernel) : row.x = 0}, or None when row
-    is orthogonal to all of kernel (the hyperplane contains the flat).
-
-    One fraction-free elimination step: with v_t = row.k_t and a pivot t0
-    where v_t0 != 0, the vectors v_t0*k_t - v_t*k_t0 for t != t0, each with
-    its content divided out.
-    """
-    vals = [_dot(row, k) for k in kernel]
-    t0 = next((t for t, v in enumerate(vals) if v), None)
-    if t0 is None:
-        return None
-    p, k0 = vals[t0], kernel[t0]
-    out = []
-    for t, (v, k) in enumerate(zip(vals, kernel)):
-        if t != t0:
-            vec = [p * a - v * b for a, b in zip(k, k0)]
-            g = gcd(*vec)
-            out.append(tuple([x // g for x in vec]) if g > 1 else tuple(vec))
-    return out
-
-
-def _whole_space(dim: int) -> list[tuple[int, ...]]:
-    return [tuple([int(s == t) for t in range(dim)]) for s in range(dim)]
+def check_size(n: int) -> None:
+    """Refuse flat enumeration past MAX_FLAT_COORDS hyperplanes."""
+    if n > MAX_FLAT_COORDS:
+        raise SizeGuard("flat enumeration capped at n <= %d" % MAX_FLAT_COORDS)
 
 
 def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
@@ -206,7 +154,7 @@ def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
     return tuple(result)
 
 
-def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
+def flats(arr: Arrangement) -> list[Flat]:
     """All nonempty intersection flats, each with maximal support, in
     canonical order (codimension, then sorted support).
 
@@ -227,7 +175,7 @@ def flats(arr: Arrangement, size_guard: int = MAX_FLAT_COORDS) -> list[Flat]:
     The lattice is built on the first call and kept on arr; the size guard
     is checked on every call, and each call returns a new list.
     """
-    check_size(arr.n, size_guard)
+    check_size(arr.n)
     if arr._flats is None:
         arr._flats = _lattice(arr)
     return list(arr._flats)
@@ -258,9 +206,7 @@ def _check_weights(arr: Arrangement, b: WeightVector) -> None:
         )
 
 
-def is_log_canonical(
-    arr: Arrangement, b: WeightVector, size_guard: int = MAX_FLAT_COORDS
-) -> LogCanonicalVerdict:
+def is_log_canonical(arr: Arrangement, b: WeightVector) -> LogCanonicalVerdict:
     """Flat-sum log canonicity test.
 
     The pair is log canonical exactly when every nonempty flat carries total
@@ -272,21 +218,19 @@ def is_log_canonical(
     """
     _check_weights(arr, b)
     low = _lowered(b)
-    for flat in flats(arr, size_guard=size_guard):
+    for flat in flats(arr):
         if sum(low.packed[i - 1] for i in flat.support) > flat.codim * low.packed_unit:
             return LogCanonicalVerdict(False, flat)
     return LogCanonicalVerdict(True)
 
 
-def is_stable(
-    arr: Arrangement, b: WeightVector, size_guard: int = MAX_FLAT_COORDS
-) -> StabilityVerdict:
+def is_stable(arr: Arrangement, b: WeightVector) -> StabilityVerdict:
     """Stability = positive excess weight plus log canonicity."""
     _check_weights(arr, b)
     low = _lowered(b)
     if sum(low.packed) <= (arr.d + 1) * low.packed_unit:
         return StabilityVerdict("not-positive")
-    lc = is_log_canonical(arr, b, size_guard=size_guard)
+    lc = is_log_canonical(arr, b)
     if not lc.is_lc:
         return StabilityVerdict("not-lc", lc.witness)
     return StabilityVerdict("stable")
@@ -315,17 +259,6 @@ def is_e_type(arr: Arrangement) -> bool:
             return False
     head = [_primitive_direction(row) for row in arr.rows[: d + 2]]
     return all(_independent(head[:omit] + head[omit + 1 :]) for omit in range(d + 2))
-
-
-def _independent(rows: list[tuple[int, ...]]) -> bool:
-    """Whether the integer rows are linearly independent: each one meets the
-    kernel of those before it in a smaller subspace."""
-    kernel = _whole_space(len(rows[0]))
-    for row in rows:
-        kernel = _meet(kernel, row)
-        if kernel is None:
-            return False
-    return True
 
 
 def dichotomy_check(arr: Arrangement, eps: EpsRatLike = EPS) -> bool:

@@ -23,7 +23,7 @@ from typing import Any, Optional, Sequence
 from . import arrangement as arr_mod
 from . import blowup, jets, mixedsub, weights
 from .epsfield import EPS, EpsRat, parse_eps_rat, parse_poly, parse_rat
-from .errors import ParseError, WallcrossError
+from .errors import BadParameters, ParseError, WallcrossError
 
 
 # -- JSON converters ---------------------------------------------------------
@@ -284,6 +284,8 @@ def cmd_replace(args) -> int:
     doc = _load_json(args.family)
     what = "family document"
     d, order = _json_int(doc, "d", what), _json_int(doc, "truncation", what)
+    if d < 2:
+        raise BadParameters("the broken-pair model needs d >= 2")
     members = []
     for i, row in enumerate(_json_list(doc, "members", what), 1):
         if not isinstance(row, list):

@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     PoleAtPoint,
 )
+from .linalg import _clear
 
 Rat = Fraction
 
@@ -129,8 +130,7 @@ def poly_add(a: Sequence, b: Sequence, sign: int = 1) -> list:
 def integer_coeffs(*polys: EpsPoly) -> "list[list[int]]":
     """The coefficient lists of polys, all times the lcm of their coefficient
     denominators, so their ratios are kept."""
-    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
+    return _clear([p.coeffs for p in polys])
 
 
 def _lex_sign(v: "Iterable[int]") -> int:
@@ -149,6 +149,9 @@ def _trim(v: "Sequence[int]") -> "list[int]":
 
 
 def _primitive(v: "list[int]") -> "list[int]":
+    """A polynomial's coefficient list, the zero one included, with its
+    content divided out and its sign kept (vectors up to scale are
+    `linalg._primitive`)."""
     g = igcd(*v)
     return [x // g for x in v] if g > 1 else v
 
@@ -467,21 +470,6 @@ def eps_cmp(a: EpsRatLike, b: EpsRatLike) -> int:
     Returns the sign of a - b for every sufficiently small positive rational e.
     """
     return _cmp(EpsRat.coerce(a), EpsRat.coerce(b))
-
-
-def eps_arith(a: EpsRatLike, b: EpsRatLike, op: str) -> EpsRat:
-    """Field arithmetic by op name: one of "add", "sub", "mul", "div"."""
-    a = EpsRat.coerce(a)
-    b = EpsRat.coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise BadParameters("unknown arithmetic op %r" % op)
 
 
 def eval_at(a: EpsRatLike, x: RatLike) -> Fraction:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .blowup import degeneration_log_divisor, is_ample_blowup, y1_log_divisor
@@ -40,6 +39,7 @@ from .errors import (
     NotInNormalForm,
     SizeGuard,
 )
+from .linalg import _clear
 
 #: Truncation orders past this are refused: separating a family builds
 #: cross products of jets, up to order^2 products of growing integers each.
@@ -86,12 +86,6 @@ class JetPoly:
     @property
     def constant(self) -> Fraction:
         return self.coeffs[0]
-
-    def __add__(self, other: "JetPoly") -> "JetPoly":
-        order = min(self.order, other.order)
-        return JetPoly(
-            [a + b for a, b in zip(self.coeffs[:order], other.coeffs[:order])], order
-        )
 
     def __sub__(self, other: "JetPoly") -> "JetPoly":
         order = min(self.order, other.order)
@@ -217,14 +211,6 @@ def limit_section(member: Sequence[JetPoly]) -> LimitSection:
     return LimitSection(constant, linear)
 
 
-def _integer_member(member: Sequence[JetPoly], order: int) -> list[list[int]]:
-    """The member's jets below t^order, times the lcm of their denominators:
-    one factor for the whole member, so p / a_1 is unchanged."""
-    jets = [p.coeffs[:order] for p in member]
-    scale = lcm(*(c.denominator for jet in jets for c in jet))
-    return [[c.numerator * (scale // c.denominator) for c in jet] for jet in jets]
-
-
 def _separate(family: JetFamily) -> tuple[int, list[LimitSection]]:
     """The separation depth s and the sections read at order s, from one
     cross-multiplied pass over the family.
@@ -238,7 +224,8 @@ def _separate(family: JetFamily) -> tuple[int, list[LimitSection]]:
     if len(family.members) < 2:
         raise BadParameters("separation needs at least two members")
     order = family.order
-    first, *rest = [_integer_member(member, order) for member in family.members]
+    # One factor per member, so each p / a_1 is unchanged.
+    first, *rest = [_clear([p.coeffs[:order] for p in member]) for member in family.members]
     a = first[1]
     slots = [0] + list(range(2, family.d + 1))
     for s in range(1, order):

@@ -1,42 +1,74 @@
-"""Exact linear algebra over Q: the reduced row echelon form that
-`Flat.basis` reports.  The flat lattice itself runs on integer kernel bases
-in `arrangement`.  Everything works on sequences of ints or
-fractions.Fraction; nothing here ever touches floating point.
+"""Exact linear algebra on integer vectors: the one home of the kernels that
+decide the flat lattice, linear independence and the integer lowering of
+rational data.
+
+Rational input is lowered once by `_clear`, which multiplies a list of
+vectors by the lcm of all their denominators, so their ratios are kept; a
+vector is taken up to scale by `_primitive`.  The only elimination is
+`_meet`: one fraction-free step that cuts an integer kernel basis by one
+more row.  The flat lattice (`arrangement`), `is_e_type`, the Q(e)
+constructor (`epsfield`) and the jet separation pass (`jets`) all run on
+these.  Nothing here ever touches floating point, and this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
-Row = Sequence[Fraction]
+
+def _clear(vectors: Sequence[Sequence]) -> list[list[int]]:
+    """The vectors of ints or Fractions, all times the lcm of their
+    denominators: one factor for all of them, so their ratios are kept."""
+    scale = lcm(*[c.denominator for v in vectors for c in v])
+    return [[c.numerator * (scale // c.denominator) for c in v] for v in vectors]
 
 
-def rref(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form with zero rows dropped.
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector up to scale: content divided out, first
+    nonzero entry positive."""
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
 
-    The result is a canonical basis of the row space, usable as a
-    dictionary key for deduplicating subspaces.
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
+    """An integer basis of {x in span(kernel) : row.x = 0}, or None when row
+    is orthogonal to all of kernel (the hyperplane contains the flat).
+
+    One fraction-free elimination step: with v_t = row.k_t and a pivot t0
+    where v_t0 != 0, the primitive vectors of v_t0*k_t - v_t*k_t0 for
+    t != t0.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return ()
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return tuple(tuple(row) for row in m[:r])
+    vals = [_dot(row, k) for k in kernel]
+    t0 = next((t for t, v in enumerate(vals) if v), None)
+    if t0 is None:
+        return None
+    p, k0 = vals[t0], kernel[t0]
+    return [
+        _primitive([p * a - v * b for a, b in zip(k, k0)])
+        for t, (v, k) in enumerate(zip(vals, kernel))
+        if t != t0
+    ]
 
 
+def _whole_space(dim: int) -> list[tuple[int, ...]]:
+    return [tuple([int(s == t) for t in range(dim)]) for s in range(dim)]
+
+
+def _independent(rows: list[tuple[int, ...]]) -> bool:
+    """Whether the integer rows are linearly independent: each one meets the
+    kernel of those before it in a smaller subspace."""
+    kernel = _whole_space(len(rows[0]))
+    for row in rows:
+        kernel = _meet(kernel, row)
+        if kernel is None:
+            return False
+    return True

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .epsfield import EpsRat, clear_denominators
 from .errors import (
@@ -69,35 +69,6 @@ def simplex_vertices(d: int) -> tuple[Point, ...]:
     for i in range(d):
         verts.append(tuple([Fraction(1 if j == i else 0) for j in range(d)]))
     return tuple(verts)
-
-
-@dataclass(frozen=True)
-class CayleyConfig:
-    """The Cayley embedding of m copies of Delta_d in R^(d+m-1).
-
-    Point (i, v) is the vertex v of copy i placed at marker mu_i, where
-    mu_1 = 0 and mu_i = e_(i-1).  tags[k] records (copy, vertex) of the
-    k-th point; copies are 1-based, vertices 0-based.
-    """
-
-    d: int
-    m: int
-    tags: tuple[tuple[int, int], ...]
-    points: tuple[Point, ...]
-
-
-def cayley_config(d: int, m: int) -> CayleyConfig:
-    if d < 1 or m < 1:
-        raise BadParameters("need d >= 1 and m >= 1")
-    verts = simplex_vertices(d)
-    tags = []
-    points = []
-    for copy in range(1, m + 1):
-        marker = tuple(Fraction(1 if copy == i else 0) for i in range(2, m + 1))
-        for v, coords in enumerate(verts):
-            tags.append((copy, v))
-            points.append(coords + marker)
-    return CayleyConfig(d, m, tuple(tags), tuple(points))
 
 
 @dataclass(frozen=True)
@@ -389,31 +360,13 @@ def dual_graph(subdivision: MixedSubdivision) -> DualGraph:
     return DualGraph(len(cells), tuple(edges))
 
 
-def _parallelogram_faces(cell: MixedCell) -> Optional[tuple[Point, Point]]:
-    """The two independent edge directions if the cell is a unit
-    parallelogram (exactly two segment faces, the rest points)."""
-    verts = simplex_vertices(cell.d)
-    dirs = []
-    for face in cell.faces:
-        if len(face) == 1:
-            continue
-        if len(face) != 2:
-            return None
-        a, b = sorted(face)
-        dirs.append(tuple([x - y for x, y in zip(verts[b], verts[a])]))
-    if len(dirs) != 2:
-        return None
-    d1, d2 = dirs
-    if d1[0] * d2[1] - d1[1] * d2[0] == 0:
-        return None
-    return d1, d2
-
-
 def qcartier_defect_cells(subdivision: MixedSubdivision) -> list[DefectCell]:
     """Unit-parallelogram cells meeting the boundary of m*Delta_2 in an
     isolated vertex.
 
-    For each parallelogram cell the contact with each of the three boundary
+    A cell is a unit parallelogram exactly when every face has at most two
+    vertices and two faces are distinct edges: any two distinct edges of
+    Delta_2 are independent.  For each parallelogram cell the contact with each of the three boundary
     edges of m*Delta_2 is a face of the cell: empty, a vertex, or an edge.
     The cell is reported when exactly one contact is an isolated vertex (the
     other two may be edges or empty); its geometry forbids two isolated
@@ -430,7 +383,8 @@ def qcartier_defect_cells(subdivision: MixedSubdivision) -> list[DefectCell]:
     )
     defects = []
     for index, cell in enumerate(subdivision.cells):
-        if _parallelogram_faces(cell) is None:
+        edges = [face for face in cell.faces if len(face) == 2]
+        if len(edges) != 2 or edges[0] == edges[1] or any(len(f) > 2 for f in cell.faces):
             continue
         verts = cell_vertices(cell)
         isolated = []

@@ -21,10 +21,9 @@ from wallcross.arrangement import (
 )
 from wallcross.epsfield import EPS, EpsRat
 from wallcross.errors import BadParameters, InvariantBreach, PreconditionViolated, SizeGuard
-from wallcross.linalg import rref
 from wallcross.weights import WeightVector, nt_weights, t_weights
 
-from reference_linalg import bareiss_rank
+from reference_linalg import bareiss_rank, rref
 
 e = EPS
 
@@ -259,14 +258,14 @@ def test_flats_support_is_maximal():
     for f in flats(arr):
         for i in range(1, arr.n + 1):
             if i not in f.support:
-                assert len(rref(list(f.basis) + [arr.rows[i - 1]])) > f.codim
+                assert len(rref(list(f.gens) + [arr.rows[i - 1]])) > f.codim
 
 
 def test_flats_size_guard():
     arr = e_configuration(2, 17)
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as caught:
         flats(arr)
-    assert flats(arr, size_guard=17)  # explicit opt-in
+    assert str(caught.value) == "flat enumeration capped at n <= 16"
 
 
 def parallel_rows_arrangement(rng, d, n):
@@ -289,17 +288,17 @@ def test_flats_match_the_bareiss_reference():
     four = [parallel_rows_arrangement(rng, 4, n) for n in (7, 8, 8)]
     four.append(e_image(rng, 4, 8))
     for arr in lattice_corpus() + four:
-        got = [(f.codim, f.support, f.basis) for f in flats(arr)]
-        want = [(f.codim, f.support, f.basis) for f in reference_flats(arr)]
+        got = [(f.codim, f.support, rref(f.gens)) for f in flats(arr)]
+        want = [(f.codim, f.support, rref(f.gens)) for f in reference_flats(arr)]
         assert got == want, arr.rows
 
 
-def test_flat_basis_is_the_rref_of_its_generators():
+def test_flat_gens_cut_out_the_flat():
     arr = e_configuration(3, 7)
     for f in flats(arr):
-        assert len(f.gens) == f.codim
-        assert f.basis == rref(f.gens)
-        assert f.basis is f.basis  # computed once
+        assert len(f.gens) == len(rref(f.gens)) == f.codim
+        for i in f.support:
+            assert len(rref(list(f.gens) + [arr.rows[i - 1]])) == f.codim
         # Equality and hashing read (codim, support) only.
         twin = Flat(f.codim, f.support, tuple(reversed(f.gens)))
         assert twin == f and hash(twin) == hash(f)
@@ -481,16 +480,6 @@ def test_flats_cache_returns_a_new_list():
     assert flats(arr) == expected
     flats(arr).append(None)
     assert flats(arr) == expected
-
-
-def test_flats_guard_holds_after_an_opt_in():
-    arr = e_configuration(2, 17)
-    assert flats(arr, size_guard=17)
-    assert arr._flats is not None
-    with pytest.raises(SizeGuard):
-        flats(arr)
-    with pytest.raises(SizeGuard):
-        is_stable(arr, nt_weights(2, 17))
 
 
 def test_dichotomy_builds_the_lattice_once(monkeypatch):

@@ -370,3 +370,18 @@ def test_malformed_family_documents(capsys, tmp_path, change, message):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({**FAMILY, **change}))
     assert message in _one_line_error(capsys, ["replace", str(path)])
+
+
+def test_replace_refuses_d_1_before_separating(capsys, tmp_path, monkeypatch):
+    calls = []
+    separate = cli.jets._separate
+
+    def counted(family):
+        calls.append(1)
+        return separate(family)
+
+    monkeypatch.setattr(cli.jets, "_separate", counted)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"d": 1, "truncation": 3, "members": [["t", "1"], ["2*t", "1"]]}))
+    assert "the broken-pair model needs d >= 2" in _one_line_error(capsys, ["replace", str(path)])
+    assert calls == []

@@ -1,5 +1,6 @@
-"""Generated documents for `stability` and `replace`: every input ends in a
-report (exit 0) or in one line on stderr (exit 2), never in a traceback.
+"""Generated documents for `stability`, `replace`, `mixedsub --lifting` and
+`ample --model pairing`: every input ends in a report (exit 0) or in one
+line on stderr (exit 2), never in a traceback.
 
 The run is derandomized and bounded, so it is the same on every machine.
 """
@@ -47,7 +48,7 @@ def _corrupt(draw, doc, rows_key):
     """Leave doc well formed or break one thing about it."""
     rows = doc[rows_key]
     ints = [key for key in ("d", "n", "truncation") if key in doc]
-    nested = rows_key != "entries"
+    nested = isinstance(rows[0], list)
     kind = draw(st.sampled_from(
         ["none"] * 8 + ints + ["row", "shape", "entry", "rows", "document"]
     ))
@@ -122,13 +123,31 @@ def stability_calls(draw):
     return arrangement, weights, flags
 
 
-@settings(
+#: 200 derandomized examples per subcommand: the same run on every machine.
+FUZZ = settings(
     max_examples=200,
     derandomize=True,
     database=None,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
+
+
+def _exit_0_or_2(capsys, argv):
+    """Run main on argv and check the exit contract; the report of exit 0,
+    or None after exit 2."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return None
+    assert err == ""
+    return json.loads(out)
+
+
+@FUZZ
 @given(call=stability_calls())
 def test_stability_documents_exit_0_or_2(capsys, tmp_path, call):
     arrangement, weights, flags = call
@@ -139,15 +158,9 @@ def test_stability_documents_exit_0_or_2(capsys, tmp_path, call):
     else:
         spec = str(tmp_path / "weights.json")
         (tmp_path / "weights.json").write_text(json.dumps(weights))
-    code = main(["stability", str(arr_path), "--weights", spec] + flags)
-    out, err = capsys.readouterr()
-    assert code in (0, 2)
-    if code == 2:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-    else:
-        assert err == ""
-        assert json.loads(out)["status"] in ("stable", "not-lc", "not-positive")
+    report = _exit_0_or_2(capsys, ["stability", str(arr_path), "--weights", spec] + flags)
+    if report is not None:
+        assert report["status"] in ("stable", "not-lc", "not-positive")
 
 
 @st.composite
@@ -171,25 +184,72 @@ def family_documents(draw):
     return _corrupt(draw, doc, "members")
 
 
-@settings(
-    max_examples=200,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
+@FUZZ
 @given(doc=family_documents(), n=st.sampled_from([None] * 6 + [5, 7, 8]),
        eps=st.sampled_from([None] * 6 + ["1/100", "1/2", "x"]))
 def test_replace_documents_exit_0_or_2(capsys, tmp_path, doc, n, eps):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
     flags = (["--n", str(n)] if n is not None else []) + (["--eps", eps] if eps else [])
-    code = main(["replace", str(path)] + flags)
-    out, err = capsys.readouterr()
-    assert code in (0, 2)
-    if code == 2:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-    else:
-        assert err == ""
-        assert json.loads(out)["depth"] >= 1
+    report = _exit_0_or_2(capsys, ["replace", str(path)] + flags)
+    if report is not None:
+        assert report["depth"] >= 1
+
+
+HEIGHT_TEXTS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.integers(0, 10**6),
+    st.builds("{}/{}".format, st.integers(0, 20), st.integers(1, 4)),
+)
+
+
+@st.composite
+def mixedsub_calls(draw):
+    """A lifting document for mixedsub, with --d and --m that nearly always
+    match its length."""
+    d = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2, 3, 4] * 4 + [-1, 0, 7, 10**6]))
+    size = (m if 1 <= m <= 4 else 1) * (d + 1)
+    heights = draw(st.lists(HEIGHT_TEXTS, min_size=size, max_size=size))
+    doc = _corrupt(draw, {"heights": heights}, "heights")
+    lifting = doc["heights"] if isinstance(doc, dict) else doc
+    return d, m, lifting
+
+
+@FUZZ
+@given(call=mixedsub_calls())
+def test_mixedsub_lifting_documents_exit_0_or_2(capsys, tmp_path, call):
+    d, m, lifting = call
+    path = tmp_path / "lifting.json"
+    path.write_text(json.dumps(lifting))
+    report = _exit_0_or_2(
+        capsys, ["mixedsub", "--d", str(d), "--m", str(m), "--lifting", str(path)]
+    )
+    if report is not None:
+        assert report["cells"] and report["fine"] in (True, False)
+
+
+@st.composite
+def surface_documents(draw):
+    """A pairing-model surface: a symmetric intersection matrix and a Q(e)
+    divisor, with one of the two sometimes broken."""
+    size = draw(st.integers(1, 4))
+    matrix = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            matrix[i][j] = matrix[j][i] = str(draw(st.integers(-2, 3)))
+    divisor = draw(st.lists(WEIGHT_TEXTS, min_size=size, max_size=size))
+    broken = draw(st.sampled_from(["matrix", "divisor"]))
+    return _corrupt(draw, {"matrix": matrix, "divisor": divisor}, broken)
+
+
+@FUZZ
+@given(doc=surface_documents(), eps=st.sampled_from([None] * 6 + ["1/100", "x"]))
+def test_pairing_surface_documents_exit_0_or_2(capsys, tmp_path, doc, eps):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--eps", eps] if eps else []
+    report = _exit_0_or_2(capsys, ["ample", "--model", "pairing", str(path)] + flags)
+    if report is not None:
+        assert report["ample"] in (True, False)
+        assert len(report["pairings"]) == len(doc["divisor"])

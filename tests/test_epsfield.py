@@ -14,7 +14,6 @@ from wallcross.epsfield import (
     EpsPoly,
     EpsRat,
     clear_denominators,
-    eps_arith,
     eps_cmp,
     format_poly,
     integer_coeffs,
@@ -90,15 +89,6 @@ def test_crossing_parameter_closed_form():
     u0 = (1 + e * (d + 1 - n)) / (1 + e * (d + 2 - n))
     assert u0 == (1 - 3 * e) / (1 - 2 * e)
     assert str(u0) == "(1 - 3*e)/(1 - 2*e)"
-
-
-def test_eps_arith_dispatch():
-    assert eps_arith(1, e, "add") == 1 + e
-    assert eps_arith(1, e, "sub") == 1 - e
-    assert eps_arith(1 + e, 1 - e, "mul") == 1 - e**2
-    assert eps_arith(e**2, e, "div") == e
-    with pytest.raises(DivisionByZero):
-        eps_arith(1, 0, "div")
 
 
 def test_division_by_zero():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,18 +19,50 @@ from wallcross.errors import (
     WrongDimension,
 )
 from wallcross.mixedsub import (
-    cayley_config,
+    MixedCell,
+    MixedSubdivision,
+    Point,
     cell_vertices,
     cell_volume,
     dual_graph,
     fiber_vertex,
     qcartier_defect_cells,
     regular_mixed_subdivision,
+    simplex_vertices,
 )
 
 from reference_linalg import bareiss_rank
 
 e = EPS
+
+
+@dataclass(frozen=True)
+class CayleyConfig:
+    """The Cayley embedding of m copies of Delta_d in R^(d+m-1).
+
+    Point (i, v) is the vertex v of copy i placed at marker mu_i, where
+    mu_1 = 0 and mu_i = e_(i-1).  tags[k] records (copy, vertex) of the
+    k-th point; copies are 1-based, vertices 0-based.
+    """
+
+    d: int
+    m: int
+    tags: tuple[tuple[int, int], ...]
+    points: tuple[Point, ...]
+
+
+def cayley_config(d: int, m: int) -> CayleyConfig:
+    if d < 1 or m < 1:
+        raise BadParameters("need d >= 1 and m >= 1")
+    verts = simplex_vertices(d)
+    tags = []
+    points = []
+    for copy in range(1, m + 1):
+        marker = tuple(Fraction(1 if copy == i else 0) for i in range(2, m + 1))
+        for v, coords in enumerate(verts):
+            tags.append((copy, v))
+            points.append(coords + marker)
+    return CayleyConfig(d, m, tuple(tags), tuple(points))
 
 
 def faces_of(subdivision):
@@ -560,6 +593,38 @@ def test_defect_contacts_are_unique_over_random_liftings():
                 ]
                 # The isolated contact is a vertex of the cell on the boundary.
                 assert defect.vertex in on_boundary
+
+
+def is_unit_parallelogram(cell):
+    """The criterion by edge directions: exactly two segment faces, the rest
+    points, with independent directions (a nonzero 2x2 determinant)."""
+    verts = simplex_vertices(2)
+    dirs = []
+    for face in cell.faces:
+        if len(face) == 1:
+            continue
+        if len(face) != 2:
+            return False
+        a, b = sorted(face)
+        dirs.append([x - y for x, y in zip(verts[b], verts[a])])
+    return len(dirs) == 2 and dirs[0][0] * dirs[1][1] != dirs[0][1] * dirs[1][0]
+
+
+def test_defect_scan_reads_exactly_the_unit_parallelograms(monkeypatch):
+    # qcartier_defect_cells reads the vertices of a cell only once it has
+    # taken the cell for a unit parallelogram; every tuple of faces with
+    # m <= 4 copies is offered as a one-cell subdivision.
+    read = []
+    monkeypatch.setattr(mixedsub, "cell_vertices", lambda cell: read.append(cell) or ())
+    faces = [frozenset(c) for k in (1, 2, 3) for c in itertools.combinations(range(3), k)]
+    want = []
+    for m in (1, 2, 3, 4):
+        for combo in itertools.product(faces, repeat=m):
+            cell = MixedCell(2, combo)
+            qcartier_defect_cells(MixedSubdivision(2, m, (), (cell,)))
+            want += [cell] if is_unit_parallelogram(cell) else []
+    # C(m, 2) slots for two distinct edges (6 ordered pairs), points elsewhere.
+    assert read == want and len(want) == 6 * (1 + 3 * 3 + 6 * 9)
 
 
 def test_defect_requires_dimension_two():

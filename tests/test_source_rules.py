@@ -66,3 +66,24 @@ def test_only_epsfield_sees_the_rational_form():
             elif isinstance(node, ast.Attribute) and node.attr in banned:
                 found.append(where + " reads ." + node.attr)
     assert found == []
+
+
+def test_linalg_is_a_leaf():
+    # epsfield, arrangement and jets import linalg, so linalg importing any
+    # module of the package would make a cycle.
+    path = PACKAGE / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else ["." * node.level]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [
+            "linalg.py:%d imports %s" % (node.lineno, name)
+            for name in names
+            if name.startswith(".") or name.split(".")[0] == "wallcross"
+        ]
+    assert found == []
