@@ -26,7 +26,7 @@ lowering of the weights (see `weights`): one packed-int comparison per flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -90,14 +90,11 @@ class Flat:
     codim is the rank of the defining rows (1..d; codim d+1 would be empty
     in P^d and never appears here), and support lists every hyperplane index
     containing the flat.  Within one arrangement the support determines the
-    flat, so equality and hashing use (codim, support) only.  gens holds
-    codim independent primitive integer directions that cut out the flat:
-    rows of the arrangement, one per level of the walk that reached it.
+    flat: its equations are the support rows, of rank codim.
     """
 
     codim: int
     support: frozenset[int]
-    gens: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def sort_key(self):
         return (self.codim, tuple(sorted(self.support)))
@@ -121,12 +118,12 @@ def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
     directions = [_primitive_direction(row) for row in arr.rows]
     result: list[Flat] = []
     seen: set[frozenset[int]] = set()
-    # (support, generating rows, kernel basis) of each flat of the current
-    # codimension, starting from the whole space at codimension 0.
-    level = [(frozenset(), (), _whole_space(d + 1))]
+    # (support, kernel basis) of each flat of the current codimension,
+    # starting from the whole space at codimension 0.
+    level = [(frozenset(), _whole_space(d + 1))]
     for codim in range(1, d + 1):
         next_level = []
-        for support, gens, kernel in level:
+        for support, kernel in level:
             # Hyperplanes outside the support, by primitive restriction to F.
             classes: dict[tuple[int, ...], list[int]] = {}
             for i, direction in enumerate(directions, 1):
@@ -144,11 +141,9 @@ def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
                 if new in seen:
                     continue
                 seen.add(new)
-                j = members[0]
-                cand = gens + (directions[j - 1],)
-                result.append(Flat(codim, new, cand))
+                result.append(Flat(codim, new))
                 if codim < d:
-                    next_level.append((new, cand, _meet(kernel, directions[j - 1])))
+                    next_level.append((new, _meet(kernel, directions[members[0] - 1])))
         level = next_level
     result.sort(key=Flat.sort_key)
     return tuple(result)
@@ -163,14 +158,14 @@ def flats(arr: Arrangement) -> list[Flat]:
     kernel basis, and F meets H_i in the zero set of r_i, so the covers of F
     are the classes of proportional restrictions.  Each class C is read off
     one primitive key (content divided out, first nonzero entry positive);
-    its cover has support support(F) | C, cut out by F's generating rows
-    plus the direction of min(C).  A maximal support determines its flat,
-    so supports double as dedup keys across the flats of one level; every
-    flat of the lattice is reached because removing one generating
-    hyperplane from a rank-(c+1) flat leaves a rank-c flat.  A new cover
-    below codimension d gets its kernel basis from one integer elimination
-    step on F's.  A zero restriction would mean F's support was not
-    maximal, and raises InvariantBreach.
+    its cover has support support(F) | C and is cut out by F's equations
+    plus the row of min(C).  A maximal support determines its flat, so
+    supports double as dedup keys across the flats of one level; every
+    flat of the lattice is reached because dropping one of c + 1
+    independent rows that cut out a rank-(c+1) flat leaves a rank-c flat.
+    A new cover below codimension d gets its kernel basis from one integer
+    elimination step on F's.  A zero restriction would mean F's support was
+    not maximal, and raises InvariantBreach.
 
     The lattice is built on the first call and kept on arr; the size guard
     is checked on every call, and each call returns a new list.

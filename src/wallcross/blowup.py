@@ -22,7 +22,11 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .epsfield import EPS, EpsRat, EpsRatLike, Rat
-from .errors import BadParameters, DimensionMismatch
+from .errors import BadParameters, DimensionMismatch, SizeGuard
+
+#: A pairing surface is refused when its estimated work (see PairingSurface)
+#: passes this; surfaces near the cap took 1 to 3 s of CPU on a 2-vCPU host.
+MAX_PAIRING_WORK = 2 * 10**7
 
 
 class TestCurve(Enum):
@@ -170,6 +174,15 @@ class PairingSurface:
     curve i in the divisor under test.  On a toric surface the boundary
     curves generate the effective cone, so strict positivity against all of
     them certifies ampleness.
+
+    A surface whose curve degrees would cost more than MAX_PAIRING_WORK is
+    refused before any is computed.  Each of the m degrees sums up to m
+    products in Q(e).  A partial sum has degree below D, one more than the
+    top numerator degree plus the degrees of the distinct denominators, and
+    coefficients of about W 64-bit words, the distinct denominators' largest
+    coefficients together.  Adding a product to it costs about
+    (8 + D*(1 + W))^2, where 8 stands for the fixed cost of a Q(e)
+    operation, so the estimate is (m*(8 + D*(1 + W)))^2.
     """
 
     __slots__ = ("matrix", "divisor")
@@ -195,6 +208,15 @@ class PairingSurface:
         div = tuple(EpsRat.coerce(x) for x in divisor)
         if len(div) != m:
             raise DimensionMismatch("divisor coefficient count must match curves")
+        dens = {x.int_den for x in div}
+        degree = max(len(x.int_num) for x in div) + sum(len(den) - 1 for den in dens)
+        words = sum(max(map(abs, den)).bit_length() for den in dens) // 64
+        work = (m * (8 + degree * (1 + words))) ** 2
+        if work > MAX_PAIRING_WORK:
+            raise SizeGuard(
+                "pairing surface of %d curves (D = %d, W = %d) needs about %d steps; "
+                "capped at %d" % (m, degree, words, work, MAX_PAIRING_WORK)
+            )
         self.matrix = tuple(rows)
         self.divisor = div
 

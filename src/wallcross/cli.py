@@ -274,8 +274,10 @@ def cmd_ample(args) -> int:
         matrix.append([parse_rat(x) for x in row])
     divisor = [parse_eps_rat(x) for x in _json_list(doc, "divisor", what)]
     surface = blowup.PairingSurface(matrix, divisor)
-    degrees = [str(surface.curve_degree(j)) for j in range(surface.curve_count)]
-    _emit({"pairings": degrees, "ample": blowup.ample_from_pairing(surface)}, args)
+    degrees = [surface.curve_degree(j) for j in range(surface.curve_count)]
+    # ample_from_pairing, read off the degrees already computed.
+    ample = all(x.sign() > 0 for x in degrees)
+    _emit({"pairings": [str(x) for x in degrees], "ample": ample}, args)
     return 0
 
 

@@ -34,6 +34,7 @@ from .errors import (
     InvariantBreach,
     ParseError,
     PoleAtPoint,
+    SizeGuard,
 )
 from .linalg import _clear
 
@@ -48,8 +49,15 @@ RatLike = Union[int, Fraction]
 MAX_EPS_DEGREE = 64
 
 #: The parser refuses integer literals longer than this, well below the
-#: 4300-digit limit of Python's int().
+#: 4300-digit limit of Python's int(), and any parsed value, or part of one,
+#: with a coefficient longer than this, so every parsed value prints.
 MAX_LITERAL_DIGITS = 1000
+
+_COEFF_BOUND = 10**MAX_LITERAL_DIGITS
+
+#: The parser refuses parentheses nested deeper than this; each level takes
+#: four frames of Python's recursion limit.
+MAX_NESTING = 100
 
 
 def _ratio(x: RatLike) -> "tuple[int, int]":
@@ -555,7 +563,12 @@ def format_poly(coeffs: Sequence[RatLike], var: str = "e", den: int = 1) -> str:
         p, q = _ratio(c)
         q *= den
         g = igcd(p, q)
-        mag = "%d" % (abs(p) // g) if q == g else "%d/%d" % (abs(p) // g, q // g)
+        try:
+            mag = "%d" % (abs(p) // g) if q == g else "%d/%d" % (abs(p) // g, q // g)
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            raise SizeGuard(
+                "a coefficient of %d bits is too long to print" % max(abs(p), q).bit_length()
+            ) from exc
         if k == 0:
             body = mag
         else:
@@ -569,6 +582,9 @@ def format_poly(coeffs: Sequence[RatLike], var: str = "e", den: int = 1) -> str:
     for sign, body in terms[1:]:
         out += " %s %s" % (sign, body)
     return out
+
+
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str, var: str):
@@ -587,9 +603,9 @@ def _tokenize(text: str, var: str):
             tokens.append(ch)
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise ParseError(
@@ -614,12 +630,18 @@ def _tokenize(text: str, var: str):
 
 
 class _Parser:
-    """Recursive-descent parser evaluating directly in Q(e)."""
+    """Recursive-descent parser evaluating directly in Q(e).
+
+    Every value it makes, whole or partial, keeps its coefficients within
+    MAX_LITERAL_DIGITS digits; a power is refused before it is computed when
+    its coefficients could pass that bound.
+    """
 
     def __init__(self, tokens, var):
         self.tokens = tokens
         self.pos = 0
         self.var = var
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -629,18 +651,25 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> EpsRat:
-        sign = 1
+    def signs(self) -> bool:
+        """Consume a run of + and - signs; whether it negates."""
+        neg = False
         while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
+            neg ^= self.take() == "-"
+        return neg
+
+    @staticmethod
+    def bounded(value: EpsRat) -> EpsRat:
+        if any(abs(c) >= _COEFF_BOUND for c in value.int_num + value.int_den):
+            raise ParseError("a coefficient exceeds %d digits" % MAX_LITERAL_DIGITS)
+        return value
+
+    def expr(self) -> EpsRat:
         value = self.term()
-        if sign < 0:
-            value = -value
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.bounded(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self) -> EpsRat:
@@ -648,21 +677,15 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            value = self.bounded(value * rhs if op == "*" else value / rhs)
         return value
 
     def factor(self) -> EpsRat:
-        if self.peek() in ("+", "-"):
-            op = self.take()
-            value = self.factor()
-            return -value if op == "-" else value
+        neg = self.signs()
         value = self.atom()
         while self.peek() in ("^", "**"):
             self.take()
-            neg = False
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    neg = not neg
+            inverse = self.signs()
             k = self.take()
             if not isinstance(k, int):
                 raise ParseError("exponent must be an integer")
@@ -670,15 +693,26 @@ class _Parser:
                 raise ParseError(
                     "exponent %d exceeds the limit of %d" % (k, MAX_EPS_DEGREE)
                 )
-            value = value ** (-k if neg else k)
-        return value
+            # Each coefficient of p^k is at most (sum of |coefficients|)^k.
+            bits = max(sum(map(abs, p)) for p in (value.int_num, value.int_den)).bit_length()
+            if bits * k > _COEFF_BOUND.bit_length():
+                raise ParseError(
+                    "a power to %d of coefficients summing to %d bits could exceed %d digits"
+                    % (k, bits, MAX_LITERAL_DIGITS)
+                )
+            value = self.bounded(value ** (-k if inverse else k))
+        return -value if neg else value
 
     def atom(self) -> EpsRat:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING)
             value = self.expr()
             if self.take() != ")":
                 raise ParseError("unbalanced parentheses")
+            self.depth -= 1
             return value
         if isinstance(tok, int):
             return EpsRat.from_rat(tok)

@@ -6,8 +6,8 @@ ones are produced here from a lifting function via the Cayley trick: lift
 the m(d+1) points of the Cayley embedding of the m copies, take the lower
 hull, and read each full-dimensional lower face as a tuple of faces.  The
 subdivision is fine when every cell's face dimensions add up to d; a
-lifting whose subdivision is not fine is flagged non-generic, with the
-coarse cells still returned.
+non-generic lifting gives a subdivision that is not fine, whose coarse
+cells are still returned.
 
 The lower faces are found without a hull computation.  An affine function
 on the Cayley points is y_j + z_i at vertex j of copy i, so a lower face is
@@ -63,14 +63,6 @@ Point = tuple[Fraction, ...]
 Height = Fraction | EpsRat
 
 
-def simplex_vertices(d: int) -> tuple[Point, ...]:
-    """Vertices of Delta_d in R^d: the origin and the standard basis."""
-    verts = [tuple([Fraction(0) for _ in range(d)])]
-    for i in range(d):
-        verts.append(tuple([Fraction(1 if j == i else 0) for j in range(d)]))
-    return tuple(verts)
-
-
 @dataclass(frozen=True)
 class MixedCell:
     """One cell of a mixed subdivision: a face of Delta_d per copy, each
@@ -97,11 +89,6 @@ class MixedSubdivision:
     @property
     def is_fine(self) -> bool:
         return all(cell.is_fine for cell in self.cells)
-
-    @property
-    def non_generic(self) -> bool:
-        """Set exactly when the lifting produced a non-fine subdivision."""
-        return not self.is_fine
 
 
 @dataclass(frozen=True)
@@ -212,7 +199,7 @@ def regular_mixed_subdivision(
     The lifting assigns one height per (copy, vertex), copy-major:
     (copy 1 vertex 0, ..., copy 1 vertex d, copy 2 vertex 0, ...); values
     may be rational or live in Q(e).  Non-generic liftings are legal; the
-    result is then flagged via non_generic and fiber_vertex will refuse it.
+    result then has is_fine False and fiber_vertex will refuse it.
 
     Every lifting is lowered to integers before the one lower-hull routine:
     each height num/den has den's lowest coefficient +1 (a rational has
@@ -311,18 +298,14 @@ def cell_volume(cell: MixedCell) -> Fraction:
     return abs(acc) / 2
 
 
-def _barycenter(face: frozenset[int], d: int) -> Point:
-    verts = simplex_vertices(d)
-    k = len(face)
-    return tuple([sum(verts[v][i] for v in face) / k for i in range(d)])
-
-
 def fiber_vertex(subdivision: MixedSubdivision) -> FiberVertex:
     """Volume-weighted barycenter vector of a fine mixed subdivision.
 
     Block i is the sum over cells of vol(cell) * barycenter(F_i); distinct
     fine subdivisions give distinct vertices of the fiber polytope of the
-    summing projection.
+    summing projection.  Vertex v > 0 of Delta_d is the unit vector e_v, so
+    coordinate j of the barycenter of F is 1/|F| when j + 1 is in F and 0
+    otherwise.
     """
     if not subdivision.is_fine:
         raise NotFine("fiber vertices are attached to fine subdivisions only")
@@ -330,10 +313,11 @@ def fiber_vertex(subdivision: MixedSubdivision) -> FiberVertex:
     blocks = [[Fraction(0)] * d for _ in range(m)]
     for cell in subdivision.cells:
         vol = cell_volume(cell)
-        for i, face in enumerate(cell.faces):
-            bc = _barycenter(face, d)
-            for j in range(d):
-                blocks[i][j] += vol * bc[j]
+        for block, face in zip(blocks, cell.faces):
+            share = vol / len(face)
+            for v in face:
+                if v:
+                    block[v - 1] += share
     return FiberVertex(d, m, tuple([tuple(b) for b in blocks]))
 
 
@@ -366,32 +350,36 @@ def qcartier_defect_cells(subdivision: MixedSubdivision) -> list[DefectCell]:
 
     A cell is a unit parallelogram exactly when every face has at most two
     vertices and two faces are distinct edges: any two distinct edges of
-    Delta_2 are independent.  For each parallelogram cell the contact with each of the three boundary
-    edges of m*Delta_2 is a face of the cell: empty, a vertex, or an edge.
-    The cell is reported when exactly one contact is an isolated vertex (the
-    other two may be edges or empty); its geometry forbids two isolated
-    contacts, and such a state raises InvariantBreach rather than passing
-    silently.
+    Delta_2 are independent.  For each parallelogram cell the contact with
+    each of the three boundary edges of m*Delta_2 is a face of the cell:
+    empty, a vertex, or an edge.  The cell is reported when exactly one
+    contact is an isolated vertex (the other two may be edges or empty); its
+    geometry forbids two isolated contacts, and such a state raises
+    InvariantBreach rather than passing silently.
+
+    The contacts are read off the faces.  Vertex v > 0 of Delta_2 is e_v,
+    so each boundary line of m*Delta_2 holds one edge of Delta_2 in every
+    copy: x=0 the edge {0, 2}, y=0 {0, 1} and x+y=m {1, 2}.  A cell meets
+    the line in the Minkowski sum of its faces' vertices on that edge, or
+    not at all when some face misses it.  So the contact is an isolated
+    vertex exactly when every face meets the edge in one vertex, and that
+    vertex is (faces at vertex 1, faces at vertex 2).  A face with all three
+    vertices meets every edge in two, so the parallelogram test need not
+    look at it.
     """
     if subdivision.d != 2:
         raise WrongDimension("defect detection is defined for d = 2 only")
-    m = subdivision.m
-    boundaries = (
-        ("x=0", lambda p: p[0] == 0),
-        ("y=0", lambda p: p[1] == 0),
-        ("x+y=m", lambda p: p[0] + p[1] == m),
-    )
     defects = []
     for index, cell in enumerate(subdivision.cells):
         edges = [face for face in cell.faces if len(face) == 2]
-        if len(edges) != 2 or edges[0] == edges[1] or any(len(f) > 2 for f in cell.faces):
+        if len(edges) != 2 or edges[0] == edges[1]:
             continue
-        verts = cell_vertices(cell)
         isolated = []
-        for name, on_line in boundaries:
-            contact = [p for p in verts if on_line(p)]
-            if len(contact) == 1:
-                isolated.append((name, contact[0]))
+        for name, edge in (("x=0", {0, 2}), ("y=0", {0, 1}), ("x+y=m", {1, 2})):
+            contact = [face & edge for face in cell.faces]
+            if all(len(hit) == 1 for hit in contact):
+                hits = [v for hit in contact for v in hit]
+                isolated.append((name, (Fraction(hits.count(1)), Fraction(hits.count(2)))))
         if len(isolated) > 1:
             raise InvariantBreach(
                 "parallelogram cell %d has %d isolated boundary contacts"

@@ -89,7 +89,7 @@ def reference_flats(arr):
     result = []
     level = []
     for direction, indices in by_direction.items():
-        flat = Flat(1, frozenset(indices), (direction,))
+        flat = Flat(1, frozenset(indices))
         result.append(flat)
         level.append((flat, [direction]))
     seen_supports = {flat.support for flat in result}
@@ -108,7 +108,7 @@ def reference_flats(arr):
                 if support in seen_supports:
                     continue
                 seen_supports.add(support)
-                new = Flat(codim, support, tuple(cand))
+                new = Flat(codim, support)
                 result.append(new)
                 next_level.append((new, cand))
         level = next_level
@@ -256,9 +256,10 @@ def test_flats_coincident_rows():
 def test_flats_support_is_maximal():
     arr = e_configuration(3, 7)
     for f in flats(arr):
+        rows = [arr.rows[i - 1] for i in f.support]
         for i in range(1, arr.n + 1):
             if i not in f.support:
-                assert len(rref(list(f.gens) + [arr.rows[i - 1]])) > f.codim
+                assert bareiss_rank(rows + [arr.rows[i - 1]]) > f.codim
 
 
 def test_flats_size_guard():
@@ -288,21 +289,23 @@ def test_flats_match_the_bareiss_reference():
     four = [parallel_rows_arrangement(rng, 4, n) for n in (7, 8, 8)]
     four.append(e_image(rng, 4, 8))
     for arr in lattice_corpus() + four:
-        got = [(f.codim, f.support, rref(f.gens)) for f in flats(arr)]
-        want = [(f.codim, f.support, rref(f.gens)) for f in reference_flats(arr)]
+        got = [(f.codim, f.support) for f in flats(arr)]
+        want = [(f.codim, f.support) for f in reference_flats(arr)]
         assert got == want, arr.rows
 
 
-def test_flat_gens_cut_out_the_flat():
-    arr = e_configuration(3, 7)
-    for f in flats(arr):
-        assert len(f.gens) == len(rref(f.gens)) == f.codim
-        for i in f.support:
-            assert len(rref(list(f.gens) + [arr.rows[i - 1]])) == f.codim
-        # Equality and hashing read (codim, support) only.
-        twin = Flat(f.codim, f.support, tuple(reversed(f.gens)))
-        assert twin == f and hash(twin) == hash(f)
-    assert "gens" not in repr(f)
+def test_flat_support_rows_cut_out_the_flat():
+    # A flat's equations are its support rows: they have rank codim, and any
+    # other row of the arrangement raises the rank.
+    rng = random.Random(33)
+    four = [parallel_rows_arrangement(rng, 4, 8), e_image(rng, 4, 8)]
+    for arr in lattice_corpus() + four:
+        for f in flats(arr):
+            rows = [arr.rows[i - 1] for i in sorted(f.support)]
+            assert bareiss_rank(rows) == f.codim, (arr.rows, f)
+            for i in range(1, arr.n + 1):
+                if i not in f.support:
+                    assert bareiss_rank(rows + [arr.rows[i - 1]]) == f.codim + 1
 
 
 def test_a_flat_inside_a_hyperplane_outside_its_support_is_a_breach(monkeypatch):
@@ -425,7 +428,7 @@ def oracle_corpus():
             closure = frozenset(
                 i + 1 for i in range(n) if ranks[mask | 1 << i] == ranks[mask]
             )
-            vectors.append(_tie_weights(rng, arr, Flat(ranks[mask], closure, ()), excess))
+            vectors.append(_tie_weights(rng, arr, Flat(ranks[mask], closure), excess))
         yield arr, ranks, vectors
 
 

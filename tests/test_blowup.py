@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross.blowup import (
+    MAX_PAIRING_WORK,
     BlowupDivisor,
     PairingSurface,
     TestCurve,
@@ -23,7 +24,7 @@ from wallcross.blowup import (
     y1_log_divisor,
 )
 from wallcross.epsfield import EPS, EpsRat
-from wallcross.errors import BadParameters, DimensionMismatch
+from wallcross.errors import BadParameters, DimensionMismatch, SizeGuard
 
 e = EPS
 E_LINE, F_LINE, S_LINE = (
@@ -156,6 +157,25 @@ def test_pairing_surface_validation():
         PairingSurface([[0, 1], [1, 0]], [1, 1, 1])
     with pytest.raises(BadParameters):
         PairingSurface([], [])  # no boundary curves
+
+
+def test_pairing_surface_work_guard():
+    # (m*(8 + D*(1 + W)))^2: D is one more than the top numerator degree
+    # plus the distinct denominators' degrees, W their size in 64-bit words.
+    def surface(m, divisor):
+        return PairingSurface([[int(i != j) for j in range(m)] for i in range(m)], divisor)
+
+    assert surface(300, [EPS] * 300).curve_count == 300  # (300*(8 + 2))^2
+    with pytest.raises(SizeGuard, match="needs about 100000000 steps"):
+        surface(1000, [EPS] * 1000)
+    distinct = [1 / (1 + k * EPS) for k in range(1, 33)]
+    assert surface(32, distinct).curve_count == 32  # (32*(8 + 33*(1 + 2)))^2
+    with pytest.raises(SizeGuard, match=r"40 curves \(D = 41, W = 2\)"):
+        surface(40, [1 / (1 + k * EPS) for k in range(1, 41)])
+    # Coefficient size counts: 8 distinct 300-digit denominators.
+    big = [1 / (1 + (10**299 + k) * EPS) for k in range(8)]
+    with pytest.raises(SizeGuard, match="capped at %d" % MAX_PAIRING_WORK):
+        surface(8, big)
 
 
 def test_small_coefficient_threshold_property():

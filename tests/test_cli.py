@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import random
+import time
 
 import pytest
 
@@ -385,3 +387,71 @@ def test_replace_refuses_d_1_before_separating(capsys, tmp_path, monkeypatch):
     path.write_text(json.dumps({"d": 1, "truncation": 3, "members": [["t", "1"], ["2*t", "1"]]}))
     assert "the broken-pair model needs d >= 2" in _one_line_error(capsys, ["replace", str(path)])
     assert calls == []
+
+
+#: Entry texts that once left main as a traceback: deep nesting and a long
+#: sign run (RecursionError), a digit int() refuses (ValueError) and powers
+#: whose coefficients pass the digit limit of int-to-str conversion.
+READER_SHAPES = [
+    ("(" * 400 + "1/2" + ")" * 400, "parentheses nested deeper than 100"),
+    ("1/2*" + "-" * 3001 + "1", "is outside (0, 1]"),
+    ("1/2²", "unexpected character '²'"),
+    ("1/(" + "9" * 1000 + ")^5", "could exceed 1000 digits"),
+    ("1/2^64^64^4", "could exceed 1000 digits"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", READER_SHAPES, ids=["nesting", "sign run", "digit", "power", "power chain"]
+)
+def test_reader_shapes_exit_2_with_one_line(capsys, tmp_path, text, message):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"d": 1, "n": 4, "entries": [text, "1/3", "1/3", "1/3"]}))
+    assert message in _one_line_error(capsys, ["walls", "--weights", str(path)])
+
+
+def test_reader_takes_long_sign_runs_and_nesting_within_the_bound(capsys, tmp_path):
+    entry = "(" * 100 + "1/2*" + "-" * 3000 + "1" + ")" * 100
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"d": 1, "n": 4, "entries": [entry, "1/3", "1/3", "1/3"]}))
+    code, doc = run_json(capsys, "walls", "--weights", str(path))
+    assert code == 0 and doc["weights"]["entries"][0] == "1/2"
+
+
+def _pairing_document(rng, m, divisor):
+    matrix = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            matrix[i][j] = matrix[j][i] = str(rng.randint(-1, 3))
+    return {"matrix": matrix, "divisor": divisor}
+
+
+def test_pairing_surface_past_the_work_guard_is_refused_at_once(capsys, tmp_path):
+    # 100 curves with divisor entries 1/(1 + k*e), k in 1..40: a document of
+    # this shape ran for minutes before the guard.
+    doc = _pairing_document(random.Random(7), 100, ["1/(1 + %d*e)" % (1 + k % 40) for k in range(100)])
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    start = time.process_time()
+    err = _one_line_error(capsys, ["ample", "--model", "pairing", str(path)])
+    assert time.process_time() - start < 1
+    assert "pairing surface of 100 curves (D = 41, W = 2) needs about" in err
+    assert "capped at 20000000" in err
+
+
+def test_ample_pairing_computes_each_degree_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    degree = cli.blowup.PairingSurface.curve_degree
+
+    def counted(surface, j, coeffs=None):
+        calls.append(j)
+        return degree(surface, j, coeffs)
+
+    monkeypatch.setattr(cli.blowup.PairingSurface, "curve_degree", counted)
+    doc = _pairing_document(random.Random(8), 3, ["1/2", "1 - e", "e"])
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "ample", "--model", "pairing", str(path))
+    assert code == 0 and calls == [0, 1, 2]
+    surface = cli.blowup.PairingSurface(doc["matrix"], [cli.parse_eps_rat(x) for x in doc["divisor"]])
+    assert report["ample"] == cli.blowup.ample_from_pairing(surface)

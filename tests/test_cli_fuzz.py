@@ -1,6 +1,7 @@
-"""Generated documents for `stability`, `replace`, `mixedsub --lifting` and
-`ample --model pairing`: every input ends in a report (exit 0) or in one
-line on stderr (exit 2), never in a traceback.
+"""Generated documents for `stability`, `replace`, `mixedsub --lifting`,
+`ample --model pairing`, `walls`, `segment` and `chamber`, and generated
+flags for `ample --model blowup`: every input ends in a report (exit 0) or
+in one line on stderr (exit 2), never in a traceback.
 
 The run is derandomized and bounded, so it is the same on every machine.
 """
@@ -253,3 +254,138 @@ def test_pairing_surface_documents_exit_0_or_2(capsys, tmp_path, doc, eps):
     if report is not None:
         assert report["ample"] in (True, False)
         assert len(report["pairings"]) == len(doc["divisor"])
+
+
+#: Digits outside ASCII that str.isdigit accepts: superscript two,
+#: Arabic-Indic two, Devanagari five, fullwidth one.
+NON_ASCII_DIGITS = ["²", "٢", "५", "１"]
+
+
+@st.composite
+def entry_texts(draw):
+    """A weight entry: a value in (0, 1] from WEIGHT_TEXTS, now and then one
+    out of range, sometimes dressed in parentheses nested up to past the
+    reader's bound, a run of signs, a chain of powers, or a non-ASCII digit."""
+    if draw(st.sampled_from([False] * 24 + [True])):
+        text = draw(st.sampled_from(["2", "0", "-1/2", "e - 1"]))
+    else:
+        text = draw(WEIGHT_TEXTS)
+    shape = draw(st.sampled_from(["plain"] * 20 + ["parens", "signs", "powers", "digit"]))
+    if shape == "parens":
+        depth = draw(st.sampled_from([1, 2, 7, 40, 100, 100, 101, 400]))
+        text = "(" * depth + text + ")" * depth
+    elif shape == "signs":
+        text = "-" * draw(st.sampled_from([0, 1, 2, 4, 2998, 3000, 3001])) + "(%s)" % text
+    elif shape == "powers":
+        exponents = st.sampled_from([0, 1, 1, 2, 2, 3, 8, 64, 65, -1])
+        text = "(%s)" % text + "".join("^%d" % k for k in draw(st.lists(exponents, min_size=1, max_size=12)))
+    elif shape == "digit":
+        text = text + draw(st.sampled_from(["", "*", "/", "^"])) + draw(st.sampled_from(NON_ASCII_DIGITS))
+    return text
+
+
+@st.composite
+def weight_specs(draw, d, n, corrupt):
+    """A named weight vector, or a weight document for (d, n) whose entries
+    come from entry_texts, sometimes corrupted if corrupt is set."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["t", "nt"]))
+    doc = {"d": d, "n": n, "entries": draw(st.lists(entry_texts(), min_size=n, max_size=n))}
+    return _corrupt(draw, doc, "entries") if corrupt else doc
+
+
+@st.composite
+def weight_calls(draw, roles):
+    """(documents, flags) for one call: a weight spec for each role, only
+    the first one corrupted, and the --d, --n, --eps flags that named
+    vectors need, sometimes odd."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 3, d + 6))
+    specs = [draw(weight_specs(d, n, corrupt=index == 0)) for index in range(len(roles))]
+    flags = []
+    if any(isinstance(spec, str) for spec in specs) or draw(st.booleans()):
+        flags += ["--d", str(draw(st.sampled_from([d] * 12 + [0, d + 1])))]
+        flags += ["--n", str(draw(st.sampled_from([n] * 12 + [d + 2, 30])))]
+    eps = draw(st.sampled_from([None] * 12 + ["1/100", "1/7", "١/٣", "0", "x"]))
+    if eps is not None:
+        flags += ["--eps=" + eps]
+    return specs, flags
+
+
+def _weight_argv(tmp_path, command, roles, call):
+    specs, flags = call
+    argv = [command]
+    for role, spec in zip(roles, specs):
+        if not isinstance(spec, str):
+            path = tmp_path / (role.strip("-") + ".json")
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        argv += [role, spec]
+    return argv + flags
+
+
+@FUZZ
+@given(call=weight_calls(["--weights"]))
+def test_walls_documents_exit_0_or_2(capsys, tmp_path, call):
+    argv = _weight_argv(tmp_path, "walls", ["--weights"], call)
+    report = _exit_0_or_2(capsys, argv)
+    if report is not None:
+        assert report["count"] == len(report["walls"])
+
+
+@FUZZ
+@given(call=weight_calls(["--from", "--to"]))
+def test_segment_documents_exit_0_or_2(capsys, tmp_path, call):
+    argv = _weight_argv(tmp_path, "segment", ["--from", "--to"], call)
+    report = _exit_0_or_2(capsys, argv)
+    if report is not None:
+        assert all(0 < len(c["u0"]) for c in report["crossings"])
+
+
+@FUZZ
+@given(call=weight_calls(["--first", "--second"]))
+def test_chamber_documents_exit_0_or_2(capsys, tmp_path, call):
+    argv = _weight_argv(tmp_path, "chamber", ["--first", "--second"], call)
+    report = _exit_0_or_2(capsys, argv)
+    if report is not None:
+        assert report["same_chamber"] in (True, False)
+
+
+#: Values for --d and --n of `ample --model blowup`: mostly small, some
+#: large, negative, non-ASCII or malformed.
+BLOWUP_INTS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.integers(10**6, 10**30).map(str),
+    st.sampled_from(["", "x", "2.0", "٣", "1" * 5000, "-0"]),
+)
+
+
+@st.composite
+def blowup_flags(draw):
+    """--d, --n and --eps for `ample --model blowup`: usually a legal
+    (d, n) pair and eps in (0, 1), sometimes missing or odd values."""
+    d = draw(st.integers(2, 6))
+    flags = {"d": str(d), "n": str(draw(st.integers(d + 3, d + 9)))}
+    for key in ("d", "n"):
+        kind = draw(st.sampled_from(["legal"] * 5 + ["odd", "missing"]))
+        if kind == "odd":
+            flags[key] = draw(BLOWUP_INTS)
+        elif kind == "missing":
+            del flags[key]
+    eps = draw(st.one_of(
+        st.none(),
+        st.builds("1/{}".format, st.integers(2, 10**6)),
+        st.builds("{}/{}".format, st.integers(-3, 9), st.integers(0, 9)),
+        st.sampled_from(["x", "1e-3", "0.01", "١/٣", "1/" + "7" * 5000]),
+    ))
+    if eps is not None:
+        flags["eps"] = eps
+    return ["--%s=%s" % item for item in sorted(flags.items())]
+
+
+@FUZZ
+@given(flags=blowup_flags())
+def test_ample_blowup_flags_exit_0_or_2(capsys, flags):
+    report = _exit_0_or_2(capsys, ["ample", "--model", "blowup"] + flags)
+    if report is not None:
+        assert report["ample"] in (True, False) and set(report["pairings"]) == {"e", "f", "s"}

@@ -9,6 +9,7 @@ from wallcross.epsfield import (
     EPS,
     MAX_EPS_DEGREE,
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     ONE,
     ZERO,
     EpsPoly,
@@ -28,6 +29,7 @@ from wallcross.errors import (
     DivisionByZero,
     ParseError,
     PoleAtPoint,
+    SizeGuard,
 )
 
 e = EPS
@@ -514,6 +516,63 @@ def test_parse_bounds():
     assert parse_eps_rat("e^40") == EpsRat(EpsPoly([0] * 40 + [1]))
     assert parse_eps_rat("(1+e)^8") == (1 + e) ** 8
     assert parse_eps_rat("e^-64") == 1 / e**64
+
+
+def test_parse_sign_runs_and_nesting():
+    # Sign runs are one loop and nesting has a fixed bound: neither reaches
+    # Python's recursion limit.
+    assert parse_eps_rat("2*" + "-" * 3000 + "1") == 2
+    assert parse_eps_rat("-" * 3001 + "e^2*3") == -3 * e**2
+    assert parse_eps_rat("--1 - -e") == 1 + e
+    assert parse_eps_rat("-2^2") == -4
+    deep = "(" * MAX_NESTING + "1 - e" + ")" * MAX_NESTING
+    assert parse_eps_rat(deep) == 1 - e
+    assert parse_eps_rat("*".join(["(1/2)"] * 500)) == Fraction(1, 2**500)  # siblings
+    with pytest.raises(ParseError, match="nested deeper than %d" % MAX_NESTING):
+        parse_eps_rat("(" + deep + ")")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_eps_rat("(" * 400 + "1" + ")" * 400)
+
+
+@pytest.mark.parametrize("digit", ["²", "٢", "५", "１", "߂"])
+def test_parse_accepts_ascii_digits_only(digit):
+    # str.isdigit accepts all of these; int() takes some and refuses others.
+    for text in ("1/2" + digit, digit, "e^" + digit):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_eps_rat(text)
+
+
+def test_parse_keeps_coefficients_within_the_digit_limit():
+    limit = 10**MAX_LITERAL_DIGITS
+    nines = "9" * MAX_LITERAL_DIGITS
+    # Powers are refused before they are computed...
+    with pytest.raises(ParseError, match="could exceed %d digits" % MAX_LITERAL_DIGITS):
+        parse_eps_rat("1/(%s)^5" % nines)
+    with pytest.raises(ParseError, match="could exceed"):
+        parse_eps_rat("1/2^64^64^4")
+    with pytest.raises(ParseError, match="could exceed"):
+        parse_eps_rat("(10^50)^20")
+    # ...and every sum, product and quotient is checked when it is made.
+    with pytest.raises(ParseError, match="a coefficient exceeds %d digits" % MAX_LITERAL_DIGITS):
+        parse_eps_rat("%s*%s" % (nines, nines))
+    with pytest.raises(ParseError, match="a coefficient exceeds"):
+        parse_eps_rat("%s + 1" % nines)
+    with pytest.raises(ParseError, match="a coefficient exceeds"):
+        parse_eps_rat("1/%s - 1/%s" % (nines, nines[:-1] + "7"))
+    assert parse_eps_rat("(10^50)^19") == 10**950
+    assert parse_eps_rat("2^64^2^2^2^2") == 2**1024
+    assert parse_eps_rat(nines + " - 1") == limit - 2
+    assert str(parse_eps_rat("(%s)^1/(1 + e)" % nines)) == "(%s)/(1 + e)" % nines
+
+
+def test_values_too_long_to_print_raise_a_size_guard():
+    # A computed value may pass Python's int-to-str digit limit; printing it
+    # is refused with a WallcrossError, not a ValueError.
+    huge = EpsRat.from_integers([10**5000, 1], [1])
+    with pytest.raises(SizeGuard, match="too long to print"):
+        str(huge)
+    with pytest.raises(SizeGuard, match="too long to print"):
+        str(EpsRat.from_integers([1], [10**5000, 1]))
 
 
 def test_parse_rejects_non_strings():

@@ -28,12 +28,19 @@ from wallcross.mixedsub import (
     fiber_vertex,
     qcartier_defect_cells,
     regular_mixed_subdivision,
-    simplex_vertices,
 )
 
 from reference_linalg import bareiss_rank
 
 e = EPS
+
+
+def simplex_vertices(d: int) -> tuple[Point, ...]:
+    """Vertices of Delta_d in R^d: the origin and the standard basis."""
+    verts = [tuple(Fraction(0) for _ in range(d))]
+    for i in range(d):
+        verts.append(tuple(Fraction(1 if j == i else 0) for j in range(d)))
+    return tuple(verts)
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def test_interval_example():
 def test_zero_lifting_single_coarse_cell():
     S = regular_mixed_subdivision(1, 3, [0] * 6)
     assert len(S.cells) == 1
-    assert not S.is_fine and S.non_generic
+    assert not S.is_fine
     with pytest.raises(NotFine):
         fiber_vertex(S)
 
@@ -293,6 +300,33 @@ def test_random_liftings_stay_inside_the_vertex_set():
         S = regular_mixed_subdivision(1, m, lift)
         if S.is_fine:
             assert fiber_vertex(S).blocks in allowed
+
+
+def reference_fiber_vertex(subdivision):
+    """Blocks summed from the barycenters of the faces' simplex vertices."""
+    d = subdivision.d
+    verts = simplex_vertices(d)
+    blocks = [[Fraction(0)] * d for _ in range(subdivision.m)]
+    for cell in subdivision.cells:
+        vol = cell_volume(cell)
+        for i, face in enumerate(cell.faces):
+            for j in range(d):
+                blocks[i][j] += vol * sum(verts[v][j] for v in face) / len(face)
+    return tuple(tuple(b) for b in blocks)
+
+
+def test_fiber_vertices_match_the_barycenter_reference():
+    rng = random.Random(61)
+    fine = 0
+    for index in range(300):
+        d = 1 + index % 2
+        m = rng.randint(1, 6 if d == 1 else 5)
+        top = rng.choice((3, 50, 10**4))
+        S = regular_mixed_subdivision(d, m, [rng.randint(0, top) for _ in range(m * (d + 1))])
+        if S.is_fine:
+            fine += 1
+            assert fiber_vertex(S).blocks == reference_fiber_vertex(S), (d, S.lifting)
+    assert fine > 200
 
 
 # -- epsilon refinement -----------------------------------------------------------------
@@ -610,21 +644,66 @@ def is_unit_parallelogram(cell):
     return len(dirs) == 2 and dirs[0][0] * dirs[1][1] != dirs[0][1] * dirs[1][0]
 
 
-def test_defect_scan_reads_exactly_the_unit_parallelograms(monkeypatch):
-    # qcartier_defect_cells reads the vertices of a cell only once it has
-    # taken the cell for a unit parallelogram; every tuple of faces with
-    # m <= 4 copies is offered as a one-cell subdivision.
-    read = []
-    monkeypatch.setattr(mixedsub, "cell_vertices", lambda cell: read.append(cell) or ())
+def reference_defect_cells(subdivision):
+    """The former vertex scan: unit parallelograms by edge directions, and
+    the contacts from the cell polygon's vertices on each boundary line."""
+    m = subdivision.m
+    boundaries = (
+        ("x=0", lambda p: p[0] == 0),
+        ("y=0", lambda p: p[1] == 0),
+        ("x+y=m", lambda p: p[0] + p[1] == m),
+    )
+    defects = []
+    for index, cell in enumerate(subdivision.cells):
+        if not is_unit_parallelogram(cell):
+            continue
+        verts = cell_vertices(cell)
+        isolated = []
+        for name, on_line in boundaries:
+            contact = [p for p in verts if on_line(p)]
+            if len(contact) == 1:
+                isolated.append((name, contact[0]))
+        if len(isolated) > 1:
+            raise InvariantBreach("two isolated contacts")
+        if isolated:
+            defects.append((index,) + isolated[0])
+    return defects
+
+
+def defect_outcome(scan, subdivision):
+    """(index, boundary, vertex) of each defect cell, or the error raised."""
+    try:
+        found = scan(subdivision)
+    except InvariantBreach:
+        return InvariantBreach
+    return [x if isinstance(x, tuple) else (x.index, x.boundary, x.vertex) for x in found]
+
+
+def test_defect_faces_match_the_vertex_scan_on_every_small_cell():
+    # Every tuple of faces with m <= 4 copies, offered as a one-cell
+    # subdivision: parallelograms or not, fine or not.
     faces = [frozenset(c) for k in (1, 2, 3) for c in itertools.combinations(range(3), k)]
-    want = []
+    defects = 0
     for m in (1, 2, 3, 4):
         for combo in itertools.product(faces, repeat=m):
-            cell = MixedCell(2, combo)
-            qcartier_defect_cells(MixedSubdivision(2, m, (), (cell,)))
-            want += [cell] if is_unit_parallelogram(cell) else []
-    # C(m, 2) slots for two distinct edges (6 ordered pairs), points elsewhere.
-    assert read == want and len(want) == 6 * (1 + 3 * 3 + 6 * 9)
+            S = MixedSubdivision(2, m, (), (MixedCell(2, combo),))
+            got = defect_outcome(qcartier_defect_cells, S)
+            assert got == defect_outcome(reference_defect_cells, S), combo
+            defects += len(got)
+    assert defects > 100
+
+
+def test_defect_faces_match_the_vertex_scan_on_random_liftings():
+    rng = random.Random(62)
+    defects = 0
+    for index in range(600):
+        m = 2 + index % 5
+        top = rng.choice((2, 30, 10**4))
+        S = regular_mixed_subdivision(2, m, [rng.randint(0, top) for _ in range(3 * m)])
+        got = defect_outcome(qcartier_defect_cells, S)
+        assert got == defect_outcome(reference_defect_cells, S), S.lifting
+        defects += len(got)
+    assert defects > 100
 
 
 def test_defect_requires_dimension_two():

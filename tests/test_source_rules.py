@@ -87,3 +87,18 @@ def test_linalg_is_a_leaf():
             if name.startswith(".") or name.split(".")[0] == "wallcross"
         ]
     assert found == []
+
+
+def test_no_unicode_digit_predicates():
+    # str.isdigit, isdecimal and isnumeric accept digits outside ASCII, some
+    # of which int() refuses; the readers take ASCII digits only.
+    banned = {"isdigit", "isdecimal", "isnumeric"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d %s" % (path.name, node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in banned
+        ]
+    assert found == []
