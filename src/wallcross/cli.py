@@ -8,6 +8,20 @@ package's golden identities and exits nonzero if any fails.  Exit codes:
 arguments too: a missing, unknown or malformed argument makes main return 2
 with one `error:` line on stderr and nothing on stdout, as a malformed
 document does.  Only --help leaves main by SystemExit, with code 0.
+
+Numbers have one grammar, that of weight entries.  A rational (--eps,
+arrangement rows, pairing matrices, lifting strings) is read by
+epsfield.parse_rat: a constant expression in ASCII digits, + - * / ^ and
+parentheses, each literal at most MAX_LITERAL_DIGITS (1000) digits long, such
+as "3", "-1/2" or "2^-3".  Decimals and exponent notation ("0.5", "1e-3") are
+refused, not read as exact values: write 1/2 and 1/1000.  Exponent notation
+would let nine characters ask for an integer of millions of digits.  An
+integer (--d, --n, --m, --random, and an integer field of a document given as
+a string) is an optional "-" and at most MAX_LITERAL_DIGITS ASCII digits, read
+by epsfield.parse_int.
+
+The argument parser is built once per process, on the first call of main,
+and reused: each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from typing import Any, Optional, Sequence
 
 from . import arrangement as arr_mod
 from . import blowup, jets, mixedsub, weights
-from .epsfield import EPS, EpsRat, parse_eps_rat, parse_poly, parse_rat
+from .epsfield import EPS, EpsRat, parse_eps_rat, parse_int, parse_poly, parse_rat
 from .errors import BadParameters, ParseError, WallcrossError
 
 
@@ -89,12 +103,14 @@ def _json_field(doc: Any, key: str, what: str) -> Any:
 
 
 def _json_int(doc: Any, key: str, what: str) -> int:
-    """An integer field, given as a JSON integer or a string of digits."""
+    """An integer field, given as a JSON integer or a string read by parse_int."""
     value = _json_field(doc, key, what)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
         try:
-            return int(value)
-        except ValueError:
+            return parse_int(value)
+        except ParseError:
             pass
     raise ParseError("%s field %r must be an integer, got %s" % (what, key, json.dumps(value)))
 
@@ -486,6 +502,15 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(" ".join(message.splitlines()))
 
 
+def _int_arg(text: str) -> int:
+    """The type of the integer flags: parse_int, with its refusal reported
+    by argparse through _Parser.error."""
+    try:
+        return parse_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wallcross",
@@ -496,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--d", type=_int_arg, default=None)
+        p.add_argument("--n", type=_int_arg, default=None)
         p.add_argument("--eps", default=None, help="concrete rational eps (default: symbolic)")
         p.add_argument("--output", default=None, help="write the JSON report here")
 
@@ -536,11 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replace)
 
     p = sub.add_parser("mixedsub", help="regular mixed subdivision of m*Delta_d")
-    p.add_argument("--d", type=int, required=True, choices=(1, 2))
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True, choices=(1, 2))
+    p.add_argument("--m", type=_int_arg, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lifting", default=None, help="JSON list of rational heights")
-    group.add_argument("--random", type=int, default=None, help="seeded random lifting")
+    group.add_argument("--random", type=_int_arg, default=None, help="seeded random lifting")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_mixedsub)
 
@@ -551,9 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main uses, built on its first call.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except WallcrossError as exc:
         sys.stderr.write("error: %s\n" % exc)

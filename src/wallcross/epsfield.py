@@ -17,7 +17,9 @@ Fraction coefficients, is what the public constructor EpsRat(num, den)
 takes and what the `num` and `den` properties give back, scaled so that
 den's lowest nonzero coefficient is 1; the printed form is built from them.
 
-Plain rationals are handled by fractions.Fraction, re-exported as Rat.
+Plain rationals are handled by fractions.Fraction, re-exported as Rat;
+parse_rat and parse_int read rationals and integers in the grammar of the
+Q(e) reader.
 """
 
 from __future__ import annotations
@@ -743,10 +745,32 @@ def parse_poly(text: str, var: str = "t") -> "tuple[Fraction, ...]":
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse an exact rational number such as "3", "-1/2"."""
+    """Parse an exact rational number such as "3", "-1/2" or "2^-3".
+
+    The grammar is parse_eps_rat's, and the value must be a constant: ASCII
+    digits, each literal at most MAX_LITERAL_DIGITS long, with + - * / ^ and
+    parentheses.  Decimals ("0.5"), exponent notation ("1e5"), digit
+    separators ("1_0") and non-ASCII digits are refused, as in weight entries.
+    """
     if not isinstance(text, str):
         raise ParseError("expected a rational number as a string, got %r" % (text,))
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("not a rational number: %r" % text) from exc
+    value = parse_eps_rat(text)
+    if not value.is_constant():
+        raise ParseError("expected a rational number, got %r" % text)
+    return value.constant_value()
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer: an optional "-" and at most MAX_LITERAL_DIGITS
+    ASCII digits, nothing else."""
+    if not isinstance(text, str):
+        raise ParseError("expected an integer as a string, got %r" % (text,))
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or digits.strip(_DIGITS):
+        raise ParseError("not an integer: %r" % text)
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            "integer literal of %d digits exceeds the limit of %d"
+            % (len(digits), MAX_LITERAL_DIGITS)
+        )
+    return int(text)

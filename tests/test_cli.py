@@ -455,3 +455,173 @@ def test_ample_pairing_computes_each_degree_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and calls == [0, 1, 2]
     surface = cli.blowup.PairingSurface(doc["matrix"], [cli.parse_eps_rat(x) for x in doc["divisor"]])
     assert report["ample"] == cli.blowup.ample_from_pairing(surface)
+
+
+#: Number texts outside the one number grammar.  Fraction() read all but the
+#: fullwidth digit (and 1e4000000 took seconds); int() read 1_0 and the
+#: non-ASCII digits.
+NUMBER_SHAPES = ["1e4000000", "1_0", "0.5", "١/٣", "１"]
+
+
+@pytest.mark.parametrize("shape", NUMBER_SHAPES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walls", "--weights", "t", "--d", "2", "--n", "6", "--eps={}"],
+        ["ample", "--model", "blowup", "--d", "2", "--n", "6", "--eps={}"],
+        ["walls", "--weights", "t", "--d={}", "--n", "6"],
+        ["ample", "--model", "blowup", "--d", "2", "--n={}"],
+        ["mixedsub", "--d", "2", "--m={}", "--random", "1"],
+        ["mixedsub", "--d", "2", "--m", "2", "--random={}"],
+    ],
+    ids=["walls eps", "ample eps", "d", "n", "m", "random"],
+)
+def test_number_shapes_in_flags_exit_2(capsys, argv, shape):
+    start = time.process_time()
+    _one_line_error(capsys, [a.format(shape) for a in argv])
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("shape", NUMBER_SHAPES)
+@pytest.mark.parametrize("where", ["weights d", "weights n", "arrangement row", "family truncation",
+                                   "pairing matrix", "lifting"])
+def test_number_shapes_in_documents_exit_2(capsys, tmp_path, where, shape):
+    path = tmp_path / "doc.json"
+    if where.startswith("weights"):
+        doc = {**WEIGHTS, where.split()[1]: shape}
+        argv = ["walls", "--weights", str(path)]
+    elif where == "arrangement row":
+        doc = {"d": 2, "n": 4, "hyperplanes": [["1", "0", "0"], ["0", "1", "0"],
+                                               ["0", "0", shape], ["1", "1", "1"]]}
+        argv = ["stability", str(path), "--weights", "nt"]
+    elif where == "family truncation":
+        doc = {**FAMILY, "truncation": shape}
+        argv = ["replace", str(path)]
+    elif where == "pairing matrix":
+        doc = {"matrix": [["0", shape], [shape, "0"]], "divisor": ["1", "1"]}
+        argv = ["ample", "--model", "pairing", str(path)]
+    else:
+        doc = ["0", "0", "1", "0", shape, "0"]
+        argv = ["mixedsub", "--d", "2", "--m", "2", "--lifting", str(path)]
+    path.write_text(json.dumps(doc))
+    start = time.process_time()
+    _one_line_error(capsys, argv)
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("d, n", [("٢", "6"), ("2", "1_0"), (" 2", "6"), ("+2", "6"), ("2.0", "6")])
+def test_integer_fields_take_ascii_digits_only(capsys, tmp_path, d, n):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**WEIGHTS, "d": d, "n": n}))
+    key = "'d'" if d != "2" else "'n'"
+    assert "field %s must be an integer" % key in _one_line_error(capsys, ["walls", "--weights", str(path)])
+
+
+def test_integer_fields_as_digit_strings(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**WEIGHTS, "d": "2", "n": "6"}))
+    code, doc = run_json(capsys, "walls", "--weights", str(path))
+    assert code == 0 and doc["count"] == 4
+
+
+def test_integer_flag_errors_name_the_flag(capsys):
+    err = _one_line_error(capsys, ["walls", "--weights", "t", "--d", "٢", "--n", "6"])
+    assert "argument --d: not an integer: '٢'" in err
+    err = _one_line_error(capsys, ["walls", "--weights", "t", "--d", "2", "--n", "1" * 1001])
+    assert "argument --n: integer literal of 1001 digits exceeds the limit of 1000" in err
+
+
+def test_eps_in_exponent_notation_is_refused_at_once(capsys):
+    # Read by Fraction, this --eps ran 34 s of CPU before printing was refused.
+    argv = ["stability", "e_config", "--d", "2", "--n", "6", "--weights", "nt", "--eps=1e-300000"]
+    start = time.process_time()
+    assert "trailing input" in _one_line_error(capsys, argv)
+    assert time.process_time() - start < 1
+
+
+def _transcript(capsys, monkeypatch, calls, fresh):
+    """(exit code, stdout, stderr) of each call of main, in one process, on
+    one reused parser or on a freshly built parser per call."""
+    monkeypatch.setattr(cli, "_PARSER", None)
+    transcript = []
+    for argv in calls:
+        if fresh:
+            monkeypatch.setattr(cli, "_PARSER", None)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = "SystemExit(%r)" % exc.code
+        transcript.append((code,) + tuple(capsys.readouterr()))
+    return transcript
+
+
+def test_the_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
+    files = {
+        "w": WEIGHTS,
+        "arr": {"d": 2, "n": 6, "hyperplanes": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                                                ["1", "1", "1"], ["1", "2", "3"], ["3", "1", "2"]]},
+        "surface": {"matrix": [["0", "1"], ["1", "0"]], "divisor": ["1", "e"]},
+        "family": FAMILY,
+        "lift": ["0", "0", "1", "0", "1", "0"],
+        "broken": {"d": 2, "n": 6, "hyperplanes": [["1", "0"]]},
+    }
+    path = {}
+    for name, doc in files.items():
+        path[name] = str(tmp_path / (name + ".json"))
+        (tmp_path / (name + ".json")).write_text(json.dumps(doc))
+    help_exit = "SystemExit(0)"
+    calls = [
+        (0, ["walls", "--weights", path["w"]]),
+        (0, ["walls", "--weights", "t", "--d", "2", "--n", "6", "--eps", "1/100"]),
+        (0, ["segment", "--from", "t", "--to", "nt", "--d", "2", "--n", "6"]),
+        (0, ["chamber", "--first", path["w"], "--second", "nt", "--d", "2", "--n", "6"]),
+        # stability <file> sets d and n on its namespace; the next call has none.
+        (0, ["stability", path["arr"], "--weights", "nt"]),
+        (2, ["stability", "e_config", "--weights", "nt"]),
+        (0, ["stability", "e_config", "--weights", "nt", "--d", "2", "--n", "6"]),
+        (0, ["ample", "--model", "blowup", "--d", "2", "--n", "6"]),
+        (0, ["ample", "--model", "pairing", path["surface"]]),
+        (2, ["ample", "--model", "pairing"]),
+        (0, ["replace", path["family"], "--n", "5"]),
+        (0, ["mixedsub", "--d", "2", "--m", "2", "--lifting", path["lift"]]),
+        (0, ["mixedsub", "--d", "2", "--m", "3", "--random", "9"]),
+        (2, ["mixedsub", "--d", "2", "--m", "2", "--lifting", path["lift"], "--random", "9"]),
+        (2, ["mixedsub", "--d", "1", "--m", "2"]),
+        (0, ["verify-paper"]),
+        (help_exit, ["replace", "--help"]),
+        (2, ["frobnicate"]),
+        (2, ["walls", "--d", "2", "--n", "6"]),
+        (2, ["walls", "--weights", "t", "--d", "٢", "--n", "6"]),
+        (2, ["walls", "--weights", "t", "--d", "2", "--n", "6", "--eps"]),
+        (2, ["stability", path["broken"], "--weights", "nt"]),
+        (help_exit, ["--help"]),
+        (0, ["walls", "--weights", "t", "--d", "2", "--n", "6"]),
+    ]
+    argvs = [argv for _, argv in calls]
+    reused = _transcript(capsys, monkeypatch, argvs, fresh=False)
+    assert reused == _transcript(capsys, monkeypatch, argvs, fresh=True)
+    assert [code for code, _, _ in reused] == [code for code, _ in calls]
+    assert "--d and --n are required" in reused[5][2]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    calls = [
+        ["ample", "--model", "blowup", "--d", "2", "--n", "6"],
+        ["walls", "--weights", "t", "--d", "2", "--n", "6"],
+        ["walls", "--weights", "t", "--d", "x"],
+        ["mixedsub", "--d", "1", "--m", "2", "--random", "3"],
+        ["frobnicate"],
+    ]
+    codes = [main(calls[i % len(calls)]) for i in range(50)]
+    capsys.readouterr()
+    assert codes == [0, 0, 2, 0, 2] * 10
+    assert len(builds) == 1

@@ -1,7 +1,9 @@
 """Generated documents for `stability`, `replace`, `mixedsub --lifting`,
 `ample --model pairing`, `walls`, `segment` and `chamber`, and generated
 flags for `ample --model blowup`: every input ends in a report (exit 0) or
-in one line on stderr (exit 2), never in a traceback.
+in one line on stderr (exit 2), never in a traceback.  Rationals, integer
+fields and integer flags now and then take a number shape outside the one
+number grammar (NUMBER_SHAPES).
 
 The run is derandomized and bounded, so it is the same on every machine.
 """
@@ -17,6 +19,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+#: Number texts outside the one number grammar: exponent notation with a
+#: huge exponent, a digit separator, a decimal, Arabic-Indic digits and a
+#: fullwidth digit.  Fraction() and int() read some of them.
+NUMBER_SHAPES = ["1e4000000", "1_0", "0.5", "١/٣", "１"]
+
 #: Entries that are not small integer strings: fractions, a zero
 #: denominator, Q(e) text, malformed text, long literals, high powers, and
 #: JSON values that are not strings at all.
@@ -24,7 +31,7 @@ ODD_ENTRIES = st.one_of(
     st.builds("{}/{}".format, st.integers(-7, 7), st.integers(-3, 7)),
     st.sampled_from(
         ["", " ", "abc", "1/0", "e", "1 - e", "0.5", "1e5", "2^64", "(1+e)^70",
-         "1" * 999, "1" * 1001, "-" + "7" * 400, "((1)", "1/(1-1)"]
+         "1" * 999, "1" * 1001, "-" + "7" * 400, "((1)", "1/(1-1)"] + NUMBER_SHAPES
     ),
     st.integers(-(10**30), 10**30),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -37,12 +44,26 @@ ODD_ENTRIES = st.one_of(
 ODD_INTS = st.one_of(
     st.integers(-3, 40),
     st.integers(10**20, 10**21),
-    st.sampled_from(["3", " 4 ", "x", "", "9" * 5000, "1_0"]),
+    st.sampled_from(["3", " 4 ", "x", "", "9" * 5000, "-2", "+3"] + NUMBER_SHAPES),
     st.none(),
     st.booleans(),
     st.floats(allow_nan=True),
     st.lists(st.integers(), max_size=1),
 )
+
+
+#: Values of an integer flag: mostly small, sometimes a number shape.
+INT_FLAGS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(NUMBER_SHAPES))
+
+#: Values of --eps: usually none, sometimes in (0, 1), out of it or a number shape.
+EPS_FLAGS = st.sampled_from([None] * 12 + ["1/100", "1/7", "0", "x", "1e-300000"] + NUMBER_SHAPES)
+
+
+def _with_shape(draw, values):
+    """values, now and then with one of them replaced by a number shape."""
+    if values and draw(st.integers(0, 7)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(NUMBER_SHAPES))
+    return values
 
 
 def _corrupt(draw, doc, rows_key):
@@ -87,6 +108,7 @@ def arrangement_documents(draw):
     row = st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1).filter(any)
     row = row.map(lambda r: [str(x) for x in r])
     rows = draw(st.lists(row, min_size=n, max_size=n))
+    _with_shape(draw, rows[draw(st.integers(0, n - 1))])
     size = draw(st.sampled_from(["small"] * 8 + ["past the flat guard", "long literals"]))
     if size == "past the flat guard":
         d, n = 2, 17
@@ -116,11 +138,12 @@ def stability_calls(draw):
     weights = draw(weight_documents(d, n))
     flags = []
     if draw(st.integers(0, 9)) == 0:
-        flags += ["--d", str(draw(st.integers(0, 4)))]
+        flags += ["--d", draw(INT_FLAGS)]
     if draw(st.integers(0, 9)) == 0:
-        flags += ["--n", str(draw(st.integers(0, 12)))]
-    if draw(st.integers(0, 5)) == 0:
-        flags += ["--eps", draw(st.sampled_from(["1/100", "1/100", "1/7", "0", "x"]))]
+        flags += ["--n", draw(INT_FLAGS)]
+    eps = draw(EPS_FLAGS)
+    if eps is not None:
+        flags += ["--eps=" + eps]
     return arrangement, weights, flags
 
 
@@ -186,12 +209,12 @@ def family_documents(draw):
 
 
 @FUZZ
-@given(doc=family_documents(), n=st.sampled_from([None] * 6 + [5, 7, 8]),
-       eps=st.sampled_from([None] * 6 + ["1/100", "1/2", "x"]))
+@given(doc=family_documents(), n=st.sampled_from([None] * 6 + ["5", "7", "8"] + NUMBER_SHAPES),
+       eps=EPS_FLAGS)
 def test_replace_documents_exit_0_or_2(capsys, tmp_path, doc, n, eps):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
-    flags = (["--n", str(n)] if n is not None else []) + (["--eps", eps] if eps else [])
+    flags = (["--n", n] if n is not None else []) + (["--eps=" + eps] if eps else [])
     report = _exit_0_or_2(capsys, ["replace", str(path)] + flags)
     if report is not None:
         assert report["depth"] >= 1
@@ -211,9 +234,10 @@ def mixedsub_calls(draw):
     d = draw(st.sampled_from([1, 2]))
     m = draw(st.sampled_from([1, 2, 3, 4] * 4 + [-1, 0, 7, 10**6]))
     size = (m if 1 <= m <= 4 else 1) * (d + 1)
-    heights = draw(st.lists(HEIGHT_TEXTS, min_size=size, max_size=size))
+    heights = _with_shape(draw, draw(st.lists(HEIGHT_TEXTS, min_size=size, max_size=size)))
     doc = _corrupt(draw, {"heights": heights}, "heights")
     lifting = doc["heights"] if isinstance(doc, dict) else doc
+    d, m = (draw(st.sampled_from([str(x)] * 12 + NUMBER_SHAPES)) for x in (d, m))
     return d, m, lifting
 
 
@@ -224,7 +248,7 @@ def test_mixedsub_lifting_documents_exit_0_or_2(capsys, tmp_path, call):
     path = tmp_path / "lifting.json"
     path.write_text(json.dumps(lifting))
     report = _exit_0_or_2(
-        capsys, ["mixedsub", "--d", str(d), "--m", str(m), "--lifting", str(path)]
+        capsys, ["mixedsub", "--d", d, "--m", m, "--lifting", str(path)]
     )
     if report is not None:
         assert report["cells"] and report["fine"] in (True, False)
@@ -239,17 +263,18 @@ def surface_documents(draw):
     for i in range(size):
         for j in range(i, size):
             matrix[i][j] = matrix[j][i] = str(draw(st.integers(-2, 3)))
+    _with_shape(draw, matrix[draw(st.integers(0, size - 1))])
     divisor = draw(st.lists(WEIGHT_TEXTS, min_size=size, max_size=size))
     broken = draw(st.sampled_from(["matrix", "divisor"]))
     return _corrupt(draw, {"matrix": matrix, "divisor": divisor}, broken)
 
 
 @FUZZ
-@given(doc=surface_documents(), eps=st.sampled_from([None] * 6 + ["1/100", "x"]))
+@given(doc=surface_documents(), eps=EPS_FLAGS)
 def test_pairing_surface_documents_exit_0_or_2(capsys, tmp_path, doc, eps):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(doc))
-    flags = ["--eps", eps] if eps else []
+    flags = ["--eps=" + eps] if eps else []
     report = _exit_0_or_2(capsys, ["ample", "--model", "pairing", str(path)] + flags)
     if report is not None:
         assert report["ample"] in (True, False)
@@ -304,9 +329,9 @@ def weight_calls(draw, roles):
     specs = [draw(weight_specs(d, n, corrupt=index == 0)) for index in range(len(roles))]
     flags = []
     if any(isinstance(spec, str) for spec in specs) or draw(st.booleans()):
-        flags += ["--d", str(draw(st.sampled_from([d] * 12 + [0, d + 1])))]
-        flags += ["--n", str(draw(st.sampled_from([n] * 12 + [d + 2, 30])))]
-    eps = draw(st.sampled_from([None] * 12 + ["1/100", "1/7", "١/٣", "0", "x"]))
+        flags += ["--d", draw(st.sampled_from([str(d)] * 12 + [str(d + 1), "0"] + NUMBER_SHAPES))]
+        flags += ["--n", draw(st.sampled_from([str(n)] * 12 + [str(d + 2), "30"] + NUMBER_SHAPES))]
+    eps = draw(EPS_FLAGS)
     if eps is not None:
         flags += ["--eps=" + eps]
     return specs, flags
@@ -357,6 +382,7 @@ BLOWUP_INTS = st.one_of(
     st.integers(-1, 12).map(str),
     st.integers(10**6, 10**30).map(str),
     st.sampled_from(["", "x", "2.0", "٣", "1" * 5000, "-0"]),
+    st.sampled_from(NUMBER_SHAPES),
 )
 
 
@@ -376,7 +402,8 @@ def blowup_flags(draw):
         st.none(),
         st.builds("1/{}".format, st.integers(2, 10**6)),
         st.builds("{}/{}".format, st.integers(-3, 9), st.integers(0, 9)),
-        st.sampled_from(["x", "1e-3", "0.01", "١/٣", "1/" + "7" * 5000]),
+        st.sampled_from(["x", "1e-3", "0.01", "1e-300000", "1/" + "7" * 5000]),
+        st.sampled_from(NUMBER_SHAPES),
     ))
     if eps is not None:
         flags["eps"] = eps

@@ -1,6 +1,7 @@
 """Tests for exact arithmetic in Q(e)."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from wallcross.epsfield import (
     format_poly,
     integer_coeffs,
     parse_eps_rat,
+    parse_int,
     parse_poly,
     parse_rat,
     poly_mul,
@@ -580,6 +582,63 @@ def test_parse_rejects_non_strings():
         parse_eps_rat(1)
     with pytest.raises(ParseError, match="string"):
         parse_rat(1)
+
+
+def test_parse_rat_matches_fraction_on_plain_rationals():
+    # The reader it replaces, on the shapes both accept.
+    rng = random.Random(11)
+    for _ in range(500):
+        p = rng.randint(-(10**40), 10**40)
+        q = rng.randint(1, 10**40)
+        for text in ("%d" % p, "%d/%d" % (p, q), " %d / %d " % (p, q)):
+            assert parse_rat(text) == Fraction(text.replace(" ", ""))
+    assert parse_rat("2^-3") == Fraction(1, 8)
+    assert parse_rat("(1 - 1/3)*3") == 2
+    assert parse_rat("9" * MAX_LITERAL_DIGITS) == 10**MAX_LITERAL_DIGITS - 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e4000000", "unknown symbol 'e4000000'"),
+        ("1e-300000", "trailing input"),
+        ("1_0", "unexpected character '_'"),
+        ("0.5", "unexpected character '.'"),
+        ("١/٣", "unexpected character '١'"),
+        ("１", "unexpected character '１'"),
+        ("1" * (MAX_LITERAL_DIGITS + 1), "exceeds the limit of %d" % MAX_LITERAL_DIGITS),
+        ("1/" + "7" * 5000, "5000 digits exceeds the limit of %d" % MAX_LITERAL_DIGITS),
+        ("2^%d" % (MAX_EPS_DEGREE + 1), "exceeds the limit of %d" % MAX_EPS_DEGREE),
+        ("(10^50)^21", "could exceed %d digits" % MAX_LITERAL_DIGITS),
+        ("e", "expected a rational number, got 'e'"),
+        ("1/(1 + e)", "expected a rational number"),
+        ("", "empty expression"),
+    ],
+)
+def test_parse_rat_refuses_what_the_grammar_does_not_hold(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_rat(text)
+
+
+def test_parse_rat_refuses_exponent_notation_at_once():
+    # Fraction("1e4000000") builds a 13-million-bit integer in seconds.
+    start = time.process_time()
+    for text in ("1e4000000", "1e-300000", "1E4000000"):
+        with pytest.raises(ParseError):
+            parse_rat(text)
+    assert time.process_time() - start < 0.1
+
+
+def test_parse_int():
+    for text in ("0", "-0", "7", "-12", "9" * MAX_LITERAL_DIGITS):
+        assert parse_int(text) == int(text)
+    for text in ("", "-", "--1", "+1", " 1", "1 ", "1_0", "1.0", "1e3", "0x1", "٢", "１", "²"):
+        with pytest.raises(ParseError, match="not an integer"):
+            parse_int(text)
+    with pytest.raises(ParseError, match="1001 digits exceeds the limit of %d" % MAX_LITERAL_DIGITS):
+        parse_int("-" + "1" * 1001)
+    with pytest.raises(ParseError, match="string"):
+        parse_int(3)
 
 
 def test_parse_poly():
