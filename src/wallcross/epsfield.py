@@ -221,8 +221,17 @@ def _normal_form(
     """The normal form of num/den for integer coefficient lists, lowest
     degree first: the one reduction behind every EpsRat.
 
-    Only the reduced pair has to fit the degree guard.
+    A pair of one coefficient each, p/q with q != 0, is a constant: its
+    normal form is p and q divided by one igcd that carries q's sign, and
+    () over (1,) for p = 0.  Only the reduced pair has to fit the degree
+    guard.
     """
+    if len(num) == 1 and len(den) == 1 and den[0]:
+        p, q = num[0], den[0]
+        if not p:
+            return (), (1,)
+        g = igcd(p, q) if q > 0 else -igcd(p, q)
+        return (p // g,), (q // g,)
     num, den = _trim(num), _trim(den)
     if not den:
         raise DivisionByZero("zero denominator in Q(e)")

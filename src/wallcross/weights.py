@@ -32,10 +32,11 @@ One enumerator, `_multiplicities`, walks the multiplicity vectors over the
 value groups of one or two weight vectors with packed incremental sums, and
 drives the walls, the crossings and the chamber predicates.  Q(e) values
 are built only for output: one parameter u0 and one crossing point per
-distinct u0, from integer polynomials (the crossing points from the
-entries' stored pairs) that are reduced by their gcd on integers first
-(`EpsRat.from_integers`), so only the reduced values have to fit the degree
-guard.
+distinct u0, from integer polynomials that are reduced by their gcd on
+integers first (`EpsRat.from_integers`), so only the reduced values have to
+fit the degree guard.  A crossing point is built from the entries' stored
+pairs: the three products per value group that do not depend on u0 are
+formed once per segment, and each distinct u0 adds three more per group.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .epsfield import (
     ZERO,
     EpsRat,
     EpsRatLike,
+    _lex_sign,
     clear_denominators,
     poly_add,
     poly_mul,
@@ -94,8 +96,10 @@ class WeightVector:
         vals = tuple([EpsRat.coerce(x) for x in entries])
         if len(vals) != n:
             raise DimensionMismatch("expected %d entries, got %d" % (n, len(vals)))
+        # x = num/den with den positive near 0, so x <= 1 exactly when
+        # num - den <= 0 there.
         for i, x in enumerate(vals):
-            if x.sign() <= 0 or x > 1:
+            if x.sign() <= 0 or _lex_sign(poly_add(x.int_num, x.int_den, -1)) > 0:
                 raise BadParameters("entry %d = %s is outside (0, 1]" % (i + 1, x))
         self.d = d
         self.n = n
@@ -357,12 +361,13 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         ),
         key=itemgetter(0),
     )
+    lines = _crossing_lines(b, b2, groups)
     crossings = []
     for _, run in groupby(keyed, key=itemgetter(0)):
         run = list(run)
         _, num, den, _, _ = run[0]
         u0 = EpsRat.from_integers(num, den)
-        point = _crossing_point(b, b2, groups, u0)
+        point = _crossing_point(b, lines, u0)
         batch = [
             Crossing(Wall(I, k), u0, point)
             for _, _, _, k, mult in run
@@ -373,19 +378,30 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
     return crossings
 
 
-def _crossing_point(b, b2, groups, u0: EpsRat) -> WeightVector:
-    """(1-u0)*b + u0*b2.  With u0 = u/v and the stored integer pairs of the
-    entries x = xn/xd of b and y = yn/yd of b2 in one group, the entry is
-    (xn*yd*(v - u) + yn*xd*u) / (xd*yd*v): built from the entries' own
-    reduced forms, so its degree stays near u0's."""
-    u, v = u0.int_num, u0.int_den
-    w = poly_add(v, u, -1)
-    entries = [ZERO] * b.n
+def _crossing_lines(b, b2, groups):
+    """Per value group, the products (P, Q, R, indices) of its crossing entry
+    that do not depend on u0: P = xn*yd, Q = yn*xd and R = xd*yd for the
+    stored integer pairs of the group's entries x = xn/xd of b and y = yn/yd
+    of b2."""
+    lines = []
     for _, indices in groups:
         x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
         xn, xd, yn, yd = x.int_num, x.int_den, y.int_num, y.int_den
-        top = poly_add(poly_mul(poly_mul(xn, yd), w), poly_mul(poly_mul(yn, xd), u))
-        value = EpsRat.from_integers(top, poly_mul(poly_mul(xd, yd), v))
+        lines.append((poly_mul(xn, yd), poly_mul(yn, xd), poly_mul(xd, yd), indices))
+    return lines
+
+
+def _crossing_point(b, lines, u0: EpsRat) -> WeightVector:
+    """(1-u0)*b + u0*b2 for the segment from b to b2 whose `_crossing_lines`
+    are `lines`.  With u0 = u/v, a value group's entry is
+    (P*(v - u) + Q*u) / (R*v): three products per group and u0, on the
+    entries' own reduced forms, so its degree stays near u0's."""
+    u, v = u0.int_num, u0.int_den
+    w = poly_add(v, u, -1)
+    entries = [ZERO] * b.n
+    for p, q, r, indices in lines:
+        top = poly_add(poly_mul(p, w), poly_mul(q, u))
+        value = EpsRat.from_integers(top, poly_mul(r, v))
         for j in indices:
             entries[j - 1] = value
     return WeightVector(b.d, b.n, entries)

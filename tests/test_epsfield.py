@@ -15,6 +15,7 @@ from wallcross.epsfield import (
     ZERO,
     EpsPoly,
     EpsRat,
+    _normal_form,
     clear_denominators,
     eps_cmp,
     format_poly,
@@ -185,6 +186,33 @@ def test_from_integers_is_the_normal_form():
     assert EpsRat.from_integers([3], [6, 0]) == EpsRat.from_rat(Fraction(1, 2))
     with pytest.raises(DivisionByZero):
         EpsRat.from_integers([1], [0])
+
+
+def test_constant_normal_form_matches_the_general_route():
+    # A trailing zero coefficient keeps a pair off the one-coefficient
+    # branch, so [p, 0] over [q, 0] goes the general route.
+    rng = random.Random(17)
+    big = 10**1199
+    pairs = [(0, 1), (0, -1), (0, -7), (5, 1), (5, -1), (-5, -1), (6, -4), (-6, 4)]
+    pairs += [
+        (rng.randint(-big, big), rng.choice([1, -1]) * rng.randint(big, 10 * big - 1))
+        for _ in range(40)
+    ]
+    pairs += [(big + 1, -big - 1), (big * 6, -big * 4), (-big, 1), (0, big)]
+    while len(pairs) < 2500:
+        g, scale = rng.randint(1, 12), 10 ** rng.choice([1, 3, 20])
+        pairs.append(
+            (g * rng.randint(-scale, scale), g * rng.choice([1, -1]) * rng.randint(1, scale))
+        )
+    for p, q in pairs:
+        got = _normal_form([p], [q])
+        assert got == _normal_form([p, 0], [q, 0]), (p, q)
+        x = Fraction(p, q)
+        assert got == (((x.numerator,) if p else ()), (x.denominator,)), (p, q)
+        assert hash(EpsRat.from_integers([p], [q])) == hash(x), (p, q)
+    for p in (0, 1, -3, big):
+        with pytest.raises(DivisionByZero, match=r"^zero denominator in Q\(e\)$"):
+            _normal_form([p], [0])
 
 
 def test_from_integers_reduces_past_the_degree_guard():

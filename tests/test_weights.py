@@ -2,16 +2,22 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from wallcross.epsfield import EPS, EpsRat
+from wallcross import epsfield, weights
+from wallcross.epsfield import EPS, ZERO, EpsRat, poly_add, poly_mul
 from wallcross.errors import BadParameters, DimensionMismatch, SizeGuard
 from wallcross.weights import (
     Crossing,
     Wall,
     WeightVector,
+    _crossing_lines,
+    _crossing_point,
+    _lowered,
+    _value_groups,
     chamber_walls,
     check_size,
     in_chamber_closure,
@@ -115,6 +121,18 @@ def test_weights_reject_bad_parameters():
         nt_weights(2, 6, Fraction(2, 3))  # total falls below d + 1
     with pytest.raises(BadParameters):
         WeightVector(2, 6, [1, 1, 1, 1, 1, 2])  # entry above 1
+
+
+@pytest.mark.parametrize("x", [1, 1 - e, e, (1 + e) / (1 + 2 * e), 1 - e**5])
+def test_weight_entries_in_the_unit_interval(x):
+    assert WeightVector(1, 4, [Fraction(1, 2), x, 1, 1]).entries[1] == x
+
+
+@pytest.mark.parametrize("x", [0, -e, 1 + e, (1 + 2 * e) / (1 + e), 1 + e**5])
+def test_weight_entries_outside_the_unit_interval(x):
+    message = "entry 2 = %s is outside (0, 1]" % EpsRat.coerce(x)
+    with pytest.raises(BadParameters, match="^%s$" % re.escape(message)):
+        WeightVector(1, 4, [Fraction(1, 2), x, 1, 1])
 
 
 # -- wall values -------------------------------------------------------------------
@@ -542,6 +560,9 @@ def _differential_corpus():
     for d in (1, 2, 3):
         pairs.append(_few_valued_pair(rng, d, 9))
     pairs += [_packing_pair(), _sort_key_pair()]
+    for d, n in ((2, 5), (2, 6), (3, 6), (3, 7)):
+        pairs.append((_den_vector(rng, d, n), _den_vector(rng, d, n)))
+    pairs.append((_den_vector(rng, 2, 6), _few_valued_pair(rng, 2, 6)[0]))
     return [(b, b2) for b, b2 in pairs if b != b2]
 
 
@@ -559,3 +580,77 @@ def test_integer_lowering_matches_the_qe_loops():
                 x,
                 y,
             )
+
+
+# -- crossing points against the six-product route they replaced ------------------
+
+
+def ref_crossing_point(b, b2, groups, u0):
+    """(1-u0)*b + u0*b2 as it was built before the u0-independent products
+    were formed once per segment: with u0 = u/v and a value group's entries
+    x = xn/xd and y = yn/yd, the entry (xn*yd*(v - u) + yn*xd*u) / (xd*yd*v)
+    from six products per group and u0."""
+    u, v = u0.int_num, u0.int_den
+    w = poly_add(v, u, -1)
+    entries = [ZERO] * b.n
+    for _, indices in groups:
+        x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
+        xn, xd, yn, yd = x.int_num, x.int_den, y.int_num, y.int_den
+        top = poly_add(poly_mul(poly_mul(xn, yd), w), poly_mul(poly_mul(yn, xd), u))
+        value = EpsRat.from_integers(top, poly_mul(poly_mul(xd, yd), v))
+        for j in indices:
+            entries[j - 1] = value
+    return WeightVector(b.d, b.n, entries)
+
+
+def test_crossing_points_match_the_six_product_route():
+    distinct = 0
+    for b, b2 in _differential_corpus():
+        crossings = segment_walls(b, b2)
+        groups = _value_groups(_lowered(b), _lowered(b2))
+        points = {}
+        for c in crossings:
+            if c.u0 not in points:
+                points[c.u0] = ref_crossing_point(b, b2, groups, c.u0)
+        ref = [Crossing(c.wall, c.u0, points[c.u0]) for c in crossings]
+        assert _crossing_text(crossings) == _crossing_text(ref), (b, b2)
+        distinct += len(points)
+    assert distinct > 100
+
+
+def test_crossing_point_takes_three_products_per_group(monkeypatch):
+    b, b2 = _packing_pair()
+    lines = _crossing_lines(b, b2, _value_groups(_lowered(b), _lowered(b2)))
+    u0s = {c.u0 for c in segment_walls(b, b2)}
+    calls = [0]
+
+    def counting_mul(a, c):
+        calls[0] += 1
+        return poly_mul(a, c)
+
+    monkeypatch.setattr(weights, "poly_mul", counting_mul)
+    for u0 in u0s:
+        _crossing_point(b, lines, u0)
+    monkeypatch.undo()
+    assert len(lines) == 3 and len(u0s) > 1
+    assert calls[0] == 3 * len(lines) * len(u0s)
+
+
+def test_entry_bounds_and_crossings_compare_no_qe_values(monkeypatch):
+    # Entry bounds are read off num - den and crossings are ordered on
+    # integer keys: building the pair and crossing it makes no Q(e)
+    # comparison.
+    calls = [0]
+    original = epsfield._cmp
+
+    def counting_cmp(a, c):
+        calls[0] += 1
+        return original(a, c)
+
+    monkeypatch.setattr(epsfield, "_cmp", counting_cmp)
+    b, b2 = _packing_pair()
+    crossings = segment_walls(b, b2)
+    work = calls[0]
+    assert e < 1  # the counter sees a comparison
+    monkeypatch.undo()
+    assert crossings and work == 0 and calls[0] == 1
