@@ -41,8 +41,9 @@ from .errors import (
 from .linalg import _clear, _dot, _independent, _meet, _primitive, _whole_space
 from .weights import WeightVector, _lowered, nt_weights, t_weights
 
-#: Flat-lattice construction refuses to run past this many hyperplanes.
-MAX_FLAT_COORDS = 16
+#: Flat-lattice construction refuses to run past this many estimated
+#: integer products (see check_size).
+MAX_FLAT_WORK = 6_000_000
 
 # Tuples are built from lists, never from a generator: tuple() over an
 # iterator of unknown length allocates ten slots and shrinks them, so
@@ -106,10 +107,27 @@ def _primitive_direction(row: Sequence[Rat]) -> tuple[int, ...]:
     return _primitive(_clear([row])[0])
 
 
-def check_size(n: int) -> None:
-    """Refuse flat enumeration past MAX_FLAT_COORDS hyperplanes."""
-    if n > MAX_FLAT_COORDS:
-        raise SizeGuard("flat enumeration capped at n <= %d" % MAX_FLAT_COORDS)
+def check_size(d: int, n: int) -> None:
+    """Refuse flat enumeration whose estimated work passes MAX_FLAT_WORK.
+
+    The estimate W = sum_{c=0}^{d-1} C(n, c) * n * (d+1-c) * (d+1) counts
+    the integer products of the level walk: at most C(n, c) flats sit at
+    codimension c, and each restricts at most n rows on its d+1-c kernel
+    vectors of length d+1.  The sum stops once it passes the cap, so the
+    message states a lower bound and a huge n is refused at once.  Invalid
+    (d, n) pass through, for the constructors to refuse.
+    """
+    if d < 1 or n < d + 3:
+        return
+    work, flats_at = 0, 1  # flats_at = C(n, c)
+    for c in range(d):
+        work += flats_at * n * (d + 1 - c) * (d + 1)
+        if work > MAX_FLAT_WORK:
+            raise SizeGuard(
+                "flat enumeration for d = %d, n = %d is estimated at %s integer products "
+                "or more; capped at %s" % (d, n, format(work, ","), format(MAX_FLAT_WORK, ","))
+            )
+        flats_at = flats_at * (n - c) // (c + 1)
 
 
 def _lattice(arr: Arrangement) -> tuple[Flat, ...]:
@@ -170,7 +188,7 @@ def flats(arr: Arrangement) -> list[Flat]:
     The lattice is built on the first call and kept on arr; the size guard
     is checked on every call, and each call returns a new list.
     """
-    check_size(arr.n)
+    check_size(arr.d, arr.n)
     if arr._flats is None:
         arr._flats = _lattice(arr)
     return list(arr._flats)

@@ -155,12 +155,14 @@ def _resolve_weights(
     spec: str, args, eps: EpsRat, check_size=weights.check_size
 ) -> weights.WeightVector:
     """A named weight vector or one read from a file.  A named vector has n
-    entries from --n alone, so check_size, the size guard of the module the
-    vector is for, runs before it is built."""
+    entries from --n alone, so check_size, the subset guard on n, runs
+    before it is built; None when the caller has run the guard of the
+    module the vector is for."""
     if spec in ("t", "nt"):
         if args.d is None or args.n is None:
             raise ParseError("--d and --n are required with named weights")
-        check_size(args.n)
+        if check_size is not None:
+            check_size(args.n)
         maker = weights.t_weights if spec == "t" else weights.nt_weights
         return maker(args.d, args.n, eps)
     wv = weight_vector_from_json(_load_json(spec))
@@ -233,14 +235,10 @@ def cmd_chamber(args) -> int:
 
 def cmd_stability(args) -> int:
     eps = _resolve_eps(args)
-    # Named weights have total above d + 1, so is_stable always reaches the
-    # flat enumeration; its guard is checked when they are resolved.
     if args.arrangement == "e_config":
         if args.d is None or args.n is None:
             raise ParseError("--d and --n are required with the e_config arrangement")
-        # Resolved first: e_config builds n rows from --n alone.
-        b = _resolve_weights(args.weights, args, eps, arr_mod.check_size)
-        arrangement = arr_mod.e_configuration(args.d, args.n)
+        arrangement = None
     else:
         arrangement = arrangement_from_json(_load_json(args.arrangement))
         if args.d is not None and args.d != arrangement.d:
@@ -248,7 +246,15 @@ def cmd_stability(args) -> int:
         if args.n is not None and args.n != arrangement.n:
             raise ParseError("--n disagrees with the arrangement file")
         args.d, args.n = arrangement.d, arrangement.n
-        b = _resolve_weights(args.weights, args, eps, arr_mod.check_size)
+    # e_config and named weights are built from d and n alone, and named
+    # weights always reach the flat enumeration (their total is above
+    # d + 1), so the flat guard on (d, n) runs before either is built, in
+    # place of the weights' subset guard.
+    if arrangement is None or args.weights in ("t", "nt"):
+        arr_mod.check_size(args.d, args.n)
+    b = _resolve_weights(args.weights, args, eps, check_size=None)
+    if arrangement is None:
+        arrangement = arr_mod.e_configuration(args.d, args.n)
     verdict = arr_mod.is_stable(arrangement, b)
     _emit(
         {

@@ -30,8 +30,13 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """A nonzero integer vector up to scale: content divided out, first
     nonzero entry positive."""
     g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
+    # A loop, not next() over a generator: this builds every restriction
+    # key of the flat lattice, and a generator costs a frame per call.
+    for x in ints:
+        if x:
+            if x < 0:
+                g = -g
+            break
     return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
 
 
@@ -48,10 +53,12 @@ def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
     t != t0.
     """
     vals = [_dot(row, k) for k in kernel]
-    t0 = next((t for t, v in enumerate(vals) if v), None)
-    if t0 is None:
+    for t0, p in enumerate(vals):
+        if p:
+            break
+    else:
         return None
-    p, k0 = vals[t0], kernel[t0]
+    k0 = kernel[t0]
     return [
         _primitive([p * a - v * b for a, b in zip(k, k0)])
         for t, (v, k) in enumerate(zip(vals, kernel))

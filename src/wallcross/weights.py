@@ -14,19 +14,24 @@ reports (`walls_containing`, `segment_walls`) scan every integer level
 vectors sit exactly on integer levels just outside the strict range and
 those incidences are the ones the closed-form statements describe.
 
-Every incidence is decided on integers.  On first use a weight vector is
-lowered once (`clear_denominators`), straight from the integer pairs that
-its entries store: each entry is multiplied by one common factor D*L, the
-lcm D of the primitive entry denominators times an integer L.  Each stored
-denominator has a positive lowest coefficient, so D*L is positive near
-e = 0 and keeps every sign.  Entry i becomes an integer coefficient vector
-N_i and level k becomes k*D*L, so the sign of sum_I b_i - k is the
-lexicographic sign, lowest degree first, of sum_I N_i - k*D*L.  Each
-vector is packed into one int in base 2^bits, lowest degree in the most
-significant digit.  The base exceeds twice the largest coefficient that
-any subset sum minus k*D*L with 0 <= k <= n can reach, so no digit carries
-into the next and that sign is the sign of one int subtraction; a rational
-vector packs to a plain int.
+Every incidence is decided on integers.  A weight vector is lowered once,
+straight from the integer pairs that its entries store: each entry is
+multiplied by one common factor that is positive near e = 0, and any
+positive factor keeps every sign.  Entry i becomes an integer coefficient
+vector N_i and level k becomes k times the factor, so the sign of
+sum_I b_i - k is the lexicographic sign, lowest degree first, of sum_I N_i
+minus k times the factor.  Most vectors are lowered on first use by
+`clear_denominators`, whose factor is D*L: the lcm D of the primitive entry
+denominators times an integer L.  Each stored denominator has a positive
+lowest coefficient, so D*L is positive near e = 0.  t and nt carry their
+lowering from construction, in closed form from eps's stored pair p/q (see
+`t_weights` and `nt_weights`); with the joint content divided out it equals
+the general route's, field for field.  Each vector is packed into one int
+in base 2^bits, lowest degree in the most significant digit.  The base
+exceeds twice the largest coefficient that any subset sum minus k times the
+factor with 0 <= k <= n can reach, so no digit carries into the next and
+that sign is the sign of one int subtraction; a rational vector packs to a
+plain int.
 
 One enumerator, `_multiplicities`, walks the multiplicity vectors over the
 value groups of one or two weight vectors with packed incremental sums, and
@@ -44,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
+from math import gcd as igcd
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -85,14 +91,18 @@ class Wall:
         return "Wall({%s} = %d)" % (",".join(map(str, sorted(self.I))), self.k)
 
 
+def _check_shape(d: int, n: int) -> None:
+    if d < 1 or n < d + 3:
+        raise BadParameters("need d >= 1 and n >= d + 3, got d=%s n=%s" % (d, n))
+
+
 class WeightVector:
     """d, n and n weight entries in Q(e), each in (0, 1]."""
 
     __slots__ = ("d", "n", "entries", "_lowered")
 
     def __init__(self, d: int, n: int, entries: Iterable[EpsRatLike]):
-        if d < 1 or n < d + 3:
-            raise BadParameters("need d >= 1 and n >= d + 3, got d=%s n=%s" % (d, n))
+        _check_shape(d, n)
         vals = tuple([EpsRat.coerce(x) for x in entries])
         if len(vals) != n:
             raise DimensionMismatch("expected %d entries, got %d" % (n, len(vals)))
@@ -104,7 +114,9 @@ class WeightVector:
         self.d = d
         self.n = n
         self.entries = vals
-        self._lowered = None  # the integer lowering, made on first use
+        # The integer lowering: made on first use, or attached by t_weights
+        # and nt_weights.
+        self._lowered = None
 
     def total(self) -> EpsRat:
         acc = self.entries[0]
@@ -151,25 +163,42 @@ class Crossing:
 
 
 def t_weights(d: int, n: int, eps: EpsRatLike = EPS) -> WeightVector:
-    """The weight vector (1, ..., 1, eps, ..., eps) with d+1 heavy entries."""
+    """The weight vector (1, ..., 1, eps, ..., eps) with d+1 heavy entries.
+
+    Its lowering is attached in closed form: with eps = p/q as stored, the
+    factor q turns the heavy, light and unit entries into q, p and q.
+    """
     eps = EpsRat.coerce(eps)
     if eps.sign() <= 0:
         raise BadParameters("eps must be positive")
-    return WeightVector(d, n, (1,) * (d + 1) + (eps,) * (n - d - 1))
+    _check_shape(d, n)
+    wv = WeightVector(d, n, (1,) * (d + 1) + (eps,) * (n - d - 1))
+    p, q = eps.int_num, eps.int_den
+    _attach_lowering(wv, q, p, q)
+    return wv
 
 
 def nt_weights(d: int, n: int, eps: EpsRatLike = EPS) -> WeightVector:
     """The perturbed weight vector (1-eps, ..., 1-eps, (1+eps)/(n-d-1), ...).
 
     Its entry total exceeds d+1, so it defines a nonempty stability condition.
+    The total is d + 2 - d*eps, so with eps = p/q as stored the excess is
+    (q - d*p)/q, and q is positive near e = 0: the check is the sign of
+    q - d*p.  The lowering is attached in closed form: with m = n - d - 1,
+    the factor m*q turns the heavy, light and unit entries into m*(q - p),
+    q + p and m*q.
     """
     eps = EpsRat.coerce(eps)
     if eps.sign() <= 0:
         raise BadParameters("eps must be positive")
-    light = (1 + eps) / (n - d - 1)
-    wv = WeightVector(d, n, (1 - eps,) * (d + 1) + (light,) * (n - d - 1))
-    if (wv.total() - (d + 1)).sign() <= 0:
+    _check_shape(d, n)
+    m = n - d - 1
+    wv = WeightVector(d, n, (1 - eps,) * (d + 1) + ((1 + eps) / m,) * m)
+    p, q = eps.int_num, eps.int_den
+    if _lex_sign(poly_add(q, p, -d)) <= 0:
         raise BadParameters("entry total must exceed d + 1; eps is too large")
+    heavy = [m * x for x in poly_add(q, p, -1)]
+    _attach_lowering(wv, heavy, poly_add(q, p), [m * x for x in q])
     return wv
 
 
@@ -197,12 +226,14 @@ def check_size(n: int) -> None:
 
 
 class _Lowered(NamedTuple):
-    """A weight vector times its common factor D*L, on integers."""
+    """A weight vector times one common factor, positive near e = 0, on
+    integers: D*L from `clear_denominators`, or q or m*q in closed form for
+    t and nt (see `t_weights`, `nt_weights`)."""
 
     bits: int
-    unit: list[int]  # coefficients of D*L, lowest degree first
+    unit: list[int]  # coefficients of the factor, lowest degree first
     packed_unit: int
-    packed: tuple[int, ...]  # b_i * D*L, packed
+    packed: tuple[int, ...]  # b_i times the factor, packed
 
 
 def _pack(coeffs: Sequence[int], bits: int) -> int:
@@ -225,19 +256,38 @@ def _unpack(x: int, bits: int, length: int) -> list[int]:
     return out
 
 
+def _bits(n: int, coeffs: Sequence[Sequence[int]], unit: Sequence[int]) -> int:
+    """The packing base: past twice the largest coefficient of any subset sum
+    of coeffs minus k*unit with k <= n."""
+    reach = max(sum(abs(v[j]) for v in coeffs) + n * abs(unit[j]) for j in range(len(unit)))
+    return (2 * reach).bit_length()
+
+
 def _lowered(b: WeightVector) -> _Lowered:
     """The integer lowering of b, made on first use and kept on b."""
     if b._lowered is None:
         *coeffs, unit = clear_denominators(b.entries + (1,))
-        # Largest coefficient of any subset sum minus k*D*L with k <= n.
-        reach = max(
-            sum(abs(v[j]) for v in coeffs) + b.n * abs(unit[j]) for j in range(len(unit))
-        )
-        bits = (2 * reach).bit_length()
+        bits = _bits(b.n, coeffs, unit)
         b._lowered = _Lowered(
             bits, unit, _pack(unit, bits), tuple([_pack(v, bits) for v in coeffs])
         )
     return b._lowered
+
+
+def _attach_lowering(b: WeightVector, heavy, light, unit) -> None:
+    """Keep on b the lowering `_lowered` would make, from integer coefficient
+    lists of its heavy entries (the first d+1), its light entries and 1, all
+    times one factor positive near e = 0: padded to one length, their joint
+    content divided out, packed by the same rule."""
+    length = max(len(heavy), len(light), len(unit))
+    g = igcd(*heavy, *light, *unit)
+    heavy, light, unit = [
+        [x // g for x in v] + [0] * (length - len(v)) for v in (heavy, light, unit)
+    ]
+    heavies, lights = b.d + 1, b.n - b.d - 1
+    bits = _bits(b.n, [heavy] * heavies + [light] * lights, unit)
+    packed = (_pack(heavy, bits),) * heavies + (_pack(light, bits),) * lights
+    b._lowered = _Lowered(bits, unit, _pack(unit, bits), packed)
 
 
 def _value_groups(*lowered: _Lowered) -> list[tuple[tuple[int, ...], list[int]]]:

@@ -1,6 +1,8 @@
 """Test-side linear algebra that shares no code with the integer kernels in
-`wallcross.linalg`: a fraction-free (Bareiss) matrix rank, and the reduced
-row echelon form over Q, a canonical basis of a row space."""
+`wallcross.linalg`: a fraction-free (Bareiss) matrix rank, the reduced row
+echelon form over Q, a canonical basis of a row space, and the primitive
+key and elimination step as `linalg` wrote them with next() over a
+generator, the reference for its loops."""
 
 from fractions import Fraction
 from math import gcd
@@ -78,3 +80,28 @@ def rref(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in m[:r])
 
 
+
+
+def primitive(ints):
+    """A nonzero integer vector up to scale: content divided out, first
+    nonzero entry positive."""
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
+
+
+def meet(kernel, row):
+    """An integer basis of {x in span(kernel) : row.x = 0}, or None when row
+    is orthogonal to all of kernel: the primitive vectors of
+    v_t0*k_t - v_t*k_t0 for the first pivot t0 with v_t0 = row.k_t0 != 0."""
+    vals = [sum(a * b for a, b in zip(row, k)) for k in kernel]
+    t0 = next((t for t, v in enumerate(vals) if v), None)
+    if t0 is None:
+        return None
+    p, k0 = vals[t0], kernel[t0]
+    return [
+        primitive([p * a - v * b for a, b in zip(k, k0)])
+        for t, (v, k) in enumerate(zip(vals, kernel))
+        if t != t0
+    ]

@@ -21,9 +21,12 @@ from wallcross.arrangement import (
 )
 from wallcross.epsfield import EPS, EpsRat
 from wallcross.errors import BadParameters, InvariantBreach, PreconditionViolated, SizeGuard
+from wallcross.linalg import _primitive
 from wallcross.weights import WeightVector, nt_weights, t_weights
 
 from reference_linalg import bareiss_rank, rref
+from reference_linalg import meet as reference_meet
+from reference_linalg import primitive as reference_primitive
 
 e = EPS
 
@@ -262,11 +265,30 @@ def test_flats_support_is_maximal():
                 assert bareiss_rank(rows + [arr.rows[i - 1]]) > f.codim
 
 
-def test_flats_size_guard():
-    arr = e_configuration(2, 17)
+def _refuse_lattice(arr):
+    raise AssertionError("built the lattice of an arrangement past the flat guard")
+
+
+def test_flats_size_guard(monkeypatch):
+    # W = sum_{c<d} C(n, c)*n*(d+1-c)*(d+1), summed until it passes the cap.
+    monkeypatch.setattr(arrangement_module, "_lattice", _refuse_lattice)
     with pytest.raises(SizeGuard) as caught:
-        flats(arr)
-    assert str(caught.value) == "flat enumeration capped at n <= 16"
+        flats(e_configuration(13, 16))
+    assert str(caught.value) == (
+        "flat enumeration for d = 13, n = 16 is estimated at 14,634,816 integer "
+        "products or more; capped at 6,000,000"
+    )
+    with pytest.raises(SizeGuard, match="d = 2, n = 1000000 is estimated at 9,000,000 "):
+        arrangement_module.check_size(2, 1_000_000)
+    monkeypatch.undo()
+    assert len(flats(e_configuration(2, 17))) == 10
+    rng = random.Random(34)
+    assert len(flats(random_arrangement(rng, 2, 100))) > 1000
+    # The largest estimates accepted at d = 5..7 (n = 25, 19, 16).
+    for d, n in ((5, 25), (6, 19), (7, 16)):
+        arrangement_module.check_size(d, n)
+        with pytest.raises(SizeGuard):
+            arrangement_module.check_size(d, n + 1)
 
 
 def parallel_rows_arrangement(rng, d, n):
@@ -282,6 +304,33 @@ def parallel_rows_arrangement(rng, d, n):
         if any(row):
             rows.append(row)
     return Arrangement(d, n, rows)
+
+
+def test_primitive_matches_the_generator_reference():
+    rng = random.Random(35)
+    leading_zeros = 0
+    for _ in range(6000):
+        length = rng.randint(1, 6)
+        zeros = min(rng.choice((0, 0, 1, 2, 5)), length - 1)
+        while True:
+            v = [0] * zeros + [rng.randint(-50, 50) for _ in range(length - zeros)]
+            if any(v):
+                break
+        leading_zeros += v[0] == 0
+        assert _primitive(v) == reference_primitive(v), v
+    assert leading_zeros > 1500
+
+
+def test_lattice_matches_the_generator_kernels(monkeypatch):
+    rng = random.Random(36)
+    corpus = [parallel_rows_arrangement(rng, d, n) for d, n in ((2, 8), (3, 8), (4, 8), (4, 9))]
+    corpus += [e_image(rng, d, n) for d, n in ((1, 5), (2, 9), (3, 10), (4, 8))]
+    corpus += lattice_corpus()
+    got = [arrangement_module._lattice(arr) for arr in corpus]
+    monkeypatch.setattr(arrangement_module, "_primitive", reference_primitive)
+    monkeypatch.setattr(arrangement_module, "_meet", reference_meet)
+    want = [arrangement_module._lattice(arr) for arr in corpus]
+    assert got == want
 
 
 def test_flats_match_the_bareiss_reference():

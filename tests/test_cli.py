@@ -339,9 +339,10 @@ def _refuse_to_build(*args, **kwargs):
         (["walls", "--weights", "t", "--d", "1", "--n", "21"], "capped at n <= 20"),
         (["segment", "--from", "t", "--to", "nt", "--d", "1", "--n", "21"], "capped at n <= 20"),
         (["chamber", "--first", "nt", "--second", "t", "--d", "1", "--n", "21"], "capped at n <= 20"),
-        (["stability", "e_config", "--weights", "t", "--d", "1", "--n", "200000"], "n <= 16"),
-        (["stability", "e_config", "--weights", "nt", "--d", "1", "--n", "17"], "n <= 16"),
+        (["stability", "e_config", "--weights", "t", "--d", "2", "--n", "1000000"], "capped at 6,000,000"),
+        (["stability", "e_config", "--weights", "nt", "--d", "13", "--n", "16"], "capped at 6,000,000"),
         (["mixedsub", "--d", "1", "--m", "300000", "--random", "1"], "m <= 6"),
+        (["stability", "e_config", "--weights", "w.json", "--d", "13", "--n", "16"], "capped at 6,000,000"),
     ],
 )
 def test_guards_run_before_the_input_is_built(capsys, monkeypatch, argv, message):
@@ -350,6 +351,25 @@ def test_guards_run_before_the_input_is_built(capsys, monkeypatch, argv, message
     monkeypatch.setattr(cli.arr_mod, "e_configuration", _refuse_to_build)
     monkeypatch.setattr(cli, "Fraction", _refuse_to_build)
     assert message in _one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("weights", ["t", "nt", "file"])
+def test_flat_guard_refuses_an_arrangement_document_at_once(capsys, tmp_path, monkeypatch, weights):
+    # 16 linearly general hyperplanes in P^13: about 65,000 flats, refused
+    # on its estimate before any flat is built.
+    d, n = 13, 16
+    rows = [[str((i + 1) ** k) for k in range(d + 1)] for i in range(n)]
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"d": d, "n": n, "hyperplanes": rows}))
+    if weights == "file":
+        weights = str(tmp_path / "w.json")
+        entries = ["1"] * (d + 1) + ["e"] * (n - d - 1)
+        (tmp_path / "w.json").write_text(json.dumps({"d": d, "n": n, "entries": entries}))
+    monkeypatch.setattr(cli.arr_mod, "_lattice", _refuse_to_build)
+    start = time.process_time()
+    err = _one_line_error(capsys, ["stability", str(path), "--weights", weights])
+    assert time.process_time() - start < 1
+    assert "flat enumeration for d = 13, n = 16 is estimated at 14,634,816 integer" in err
 
 
 FAMILY = {"d": 2, "truncation": 3, "members": [["t", "1", "2*t"], ["2*t", "1", "5*t"]]}

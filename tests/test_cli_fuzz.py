@@ -111,8 +111,8 @@ def arrangement_documents(draw):
     _with_shape(draw, rows[draw(st.integers(0, n - 1))])
     size = draw(st.sampled_from(["small"] * 8 + ["past the flat guard", "long literals"]))
     if size == "past the flat guard":
-        d, n = 2, 17
-        rows = [[str(i + 1), str(i * i + 2), "1"] for i in range(n)]
+        d, n = 13, 16
+        rows = [[str((i + 1) ** k) for k in range(d + 1)] for i in range(n)]
     elif size == "long literals":
         rows = [[x + "0" * draw(st.integers(0, 300)) for x in r] for r in rows]
     return d, n, _corrupt(draw, {"d": d, "n": n, "hyperplanes": rows}, "hyperplanes")

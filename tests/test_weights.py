@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross import epsfield, weights
+from wallcross.arrangement import Arrangement, dichotomy_check, e_configuration
 from wallcross.epsfield import EPS, ZERO, EpsRat, poly_add, poly_mul
 from wallcross.errors import BadParameters, DimensionMismatch, SizeGuard
 from wallcross.weights import (
@@ -121,6 +122,98 @@ def test_weights_reject_bad_parameters():
         nt_weights(2, 6, Fraction(2, 3))  # total falls below d + 1
     with pytest.raises(BadParameters):
         WeightVector(2, 6, [1, 1, 1, 1, 1, 2])  # entry above 1
+
+
+def test_named_weights_check_d_and_n_before_building_entries():
+    # (1,) * (d + 1) for this d would ask for terabytes.
+    for maker in (t_weights, nt_weights):
+        with pytest.raises(BadParameters, match="need d >= 1 and n >= d \\+ 3"):
+            maker(10**12, 5)
+        with pytest.raises(BadParameters, match="need d >= 1 and n >= d \\+ 3"):
+            maker(3, 4)
+
+
+# -- closed-form lowering of t and nt ------------------------------------------------
+
+CLOSED_FORM_EPS = [
+    e,
+    EpsRat.from_rat(Fraction(1, 100)),
+    EpsRat.from_rat(Fraction(1, 2)),
+    EpsRat.from_rat(Fraction(1, 3)),
+    EpsRat.from_rat(Fraction(2, 7)),
+    e**2 + e / 3,
+    e / (1 + e),
+    (e + e**2) / (1 - 2 * e),
+]
+
+CLOSED_FORM_GRID = [
+    (d, n, eps) for d in range(1, 5) for n in range(d + 3, d + 9) for eps in CLOSED_FORM_EPS
+]
+
+
+TOTAL_TOO_SMALL = "^entry total must exceed d \\+ 1; eps is too large$"
+
+
+def _nt_entries(d, n, eps):
+    return (1 - eps,) * (d + 1) + ((1 + eps) / (n - d - 1),) * (n - d - 1)
+
+
+def test_closed_form_lowering_matches_the_general_route():
+    checked = 0
+    for d, n, eps in CLOSED_FORM_GRID:
+        vectors = [t_weights(d, n, eps)]
+        if (WeightVector(d, n, _nt_entries(d, n, eps)).total() - (d + 1)).sign() > 0:
+            vectors.append(nt_weights(d, n, eps))
+        for b in vectors:
+            attached = b._lowered
+            assert attached is not None
+            b._lowered = None  # the general route: clear_denominators
+            assert attached == _lowered(b), (b, eps)
+            checked += 1
+    assert checked > 300
+
+
+def test_closed_total_check_matches_the_entry_total():
+    refused = 0
+    for d, n, eps in CLOSED_FORM_GRID:
+        excess = (WeightVector(d, n, _nt_entries(d, n, eps)).total() - (d + 1)).sign()
+        if excess > 0:
+            nt_weights(d, n, eps)
+            continue
+        with pytest.raises(BadParameters, match=TOTAL_TOO_SMALL):
+            nt_weights(d, n, eps)
+        refused += 1
+    assert refused > 0
+    for d in range(1, 5):
+        if d > 1:
+            with pytest.raises(BadParameters, match=TOTAL_TOO_SMALL):
+                nt_weights(d, d + 4, Fraction(1, d))
+        nt_weights(d, d + 4, Fraction(1, d) - Fraction(1, 1000))
+
+
+def test_dichotomy_check_lowers_and_sums_no_qe_vector(monkeypatch):
+    calls = {"clear_denominators": 0, "total": 0}
+    real_clear, real_total = epsfield.clear_denominators, WeightVector.total
+
+    def counting_clear(values):
+        calls["clear_denominators"] += 1
+        return real_clear(values)
+
+    def counting_total(self):
+        calls["total"] += 1
+        return real_total(self)
+
+    monkeypatch.setattr(epsfield, "clear_denominators", counting_clear)
+    monkeypatch.setattr(weights, "clear_denominators", counting_clear)
+    monkeypatch.setattr(WeightVector, "total", counting_total)
+    general = Arrangement(2, 6, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, -1, 2]])
+    assert dichotomy_check(e_configuration(2, 7))
+    assert dichotomy_check(general)
+    assert dichotomy_check(general, Fraction(1, 100))
+    assert calls == {"clear_denominators": 0, "total": 0}
+    # The counters see the general route.
+    _lowered(WeightVector(2, 6, [Fraction(1, 2)] * 6))
+    assert calls["clear_denominators"] == 1
 
 
 @pytest.mark.parametrize("x", [1, 1 - e, e, (1 + e) / (1 + 2 * e), 1 - e**5])
