@@ -187,10 +187,13 @@ def _pseudo_rem(a: "list[int]", b: "list[int]") -> "list[int]":
 
 def _int_gcd(u: "list[int]", v: "list[int]") -> "list[int]":
     """A primitive gcd of two nonzero trimmed integer polynomials, by a
-    primitive-remainder sequence."""
+    primitive-remainder sequence.  A linear v = v0 + v1*e divides u exactly
+    when u vanishes at its root -v0/v1, which one integer Horner pass tells."""
     u, v = _primitive(u), _primitive(v)
     if len(u) < len(v):
         u, v = v, u
+    if len(v) == 2:
+        return [1] if _homogeneous(u, -v[0], v[1], len(u) - 1) else v
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
     return u

@@ -39,17 +39,25 @@ drives the walls, the crossings and the chamber predicates.  Q(e) values
 are built only for output: one parameter u0 and one crossing point per
 distinct u0, from integer polynomials that are reduced by their gcd on
 integers first (`EpsRat.from_integers`), so only the reduced values have to
-fit the degree guard.  A crossing point is built from the entries' stored
-pairs: the three products per value group that do not depend on u0 are
-formed once per segment, and each distinct u0 adds three more per group.
+fit the degree guard.  The candidate u0 are ordered by exact integer keys:
+each unreduced num/den, packed at one base, is u0 at e = 1/B, and
+floor(pn * 2^K / pd) with 2^K past every pd^2 keeps the order and the ties
+of those fractions.  A crossing point is built on packed ints from the
+entries' stored pairs: each value group's three products that do not
+depend on u0 are packed once per segment, each distinct u0 packs its
+reduced u and v once, and a group's entry is then two int products over
+one, in a base read off those products' and the reduced u0's actual
+coefficients.  Constants and Q(e) entries take that one path.  The points
+and walls built here are valid by construction, so they skip the public
+constructors' checks (`_weight_vector`, `_wall`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import gcd as igcd
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -89,6 +97,15 @@ class Wall:
 
     def __repr__(self) -> str:
         return "Wall({%s} = %d)" % (",".join(map(str, sorted(self.I))), self.k)
+
+
+def _wall(I: frozenset[int], k: int) -> Wall:
+    """Wall(I, k) for an index set and level that the enumeration made valid:
+    the same value, without `__post_init__`'s checks."""
+    wall = object.__new__(Wall)
+    fields = wall.__dict__
+    fields["I"], fields["k"] = I, k
+    return wall
 
 
 def _check_shape(d: int, n: int) -> None:
@@ -138,6 +155,15 @@ class WeightVector:
             self.n,
             ", ".join(str(x) for x in self.entries),
         )
+
+
+def _weight_vector(d: int, n: int, entries: tuple[EpsRat, ...]) -> WeightVector:
+    """WeightVector(d, n, entries) for n entries known to lie in (0, 1], such
+    as a convex combination of two weight vectors: the same value, without
+    the constructor's checks."""
+    out = object.__new__(WeightVector)
+    out.d, out.n, out.entries, out._lowered = d, n, entries, None
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,6 +271,8 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
 
 def _unpack(x: int, bits: int, length: int) -> list[int]:
     """Inverse of _pack for digits of absolute value below 2^(bits-1)."""
+    if length == 1:
+        return [x]
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     out = [0] * length
     for j in range(length - 1, -1, -1):
@@ -336,10 +364,14 @@ def _expand_subsets(groups, multiplicities) -> Iterator[frozenset[int]]:
         if m > 0
     ]
     for pick in product(*pools):
-        yield frozenset(i for chunk in pick for i in chunk)
+        yield frozenset([i for chunk in pick for i in chunk])
 
 
 # -- walls and crossings -------------------------------------------------------------
+
+#: segment_walls refuses a segment whose estimated work passes this many
+#: word products (see `check_segment_size`).
+MAX_SEGMENT_WORK = 10**7
 
 
 def walls_containing(b: WeightVector) -> list[Wall]:
@@ -355,9 +387,32 @@ def walls_containing(b: WeightVector) -> list[Wall]:
         if 2 <= size <= b.n - 1:
             k, rest = divmod(s, low.packed_unit)
             if rest == 0:
-                found += [Wall(I, k) for I in _expand_subsets(groups, mult)]
+                found += [_wall(I, k) for I in _expand_subsets(groups, mult)]
     found.sort(key=Wall.sort_key)
     return found
+
+
+def check_segment_size(low: _Lowered, low2: _Lowered, groups) -> None:
+    """Refuse a segment whose estimated work passes MAX_SEGMENT_WORK, stating
+    the estimate, before any multiplicity vector is enumerated.
+
+    Each multiplicity vector can give parameters u0 and a crossing point.
+    Their sort keys, gcds and products run on integers about as long as one
+    packed sum of each endpoint together: W 64-bit words, read off the two
+    lowerings' lengths and bits, so the entries' coefficient sizes enter
+    here.  Each such operation costs up to about W^2 word products, so the
+    estimate is M*W^2 for M multiplicity vectors, the product of |g| + 1
+    over the value groups g.
+    """
+    count = prod([len(indices) + 1 for _, indices in groups])
+    words = (len(low.unit) * low.bits + len(low2.unit) * low2.bits) // 64 + 1
+    work = count * words * words
+    if work > MAX_SEGMENT_WORK:
+        raise SizeGuard(
+            "segment over %s multiplicity vectors with sums of %d words needs about "
+            "%s word products; capped at %s"
+            % (format(count, ","), words, format(work, ","), format(MAX_SEGMENT_WORK, ","))
+        )
 
 
 def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
@@ -374,20 +429,46 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         raise BadParameters("segment endpoints coincide")
     check_size(b.n)
     low, low2 = _lowered(b), _lowered(b2)
-    unit, unit2 = low.packed_unit, low2.packed_unit
     groups = _value_groups(low, low2)
+    check_segment_size(low, low2, groups)
+    found = _u0_candidates(low, low2, groups, b.n)
+    if not found:
+        return []
+    keyed = sorted(zip(_u0_keys(found), found), key=itemgetter(0))
+    runs = [[item for _, item in run] for _, run in groupby(keyed, key=itemgetter(0))]
+    u0s = [EpsRat.from_integers(run[0][0], run[0][1]) for run in runs]
+    bits, lines = _crossing_lines(b, b2, groups, u0s)
+    crossings = []
+    for u0, run in zip(u0s, runs):
+        point = _crossing_point(b, bits, lines, u0)
+        batch = [
+            Crossing(_wall(I, k), u0, point)
+            for _, _, k, mult in run
+            for I in _expand_subsets(groups, mult)
+        ]
+        batch.sort(key=lambda c: c.wall.sort_key())
+        crossings += batch
+    return crossings
+
+
+def _u0_candidates(low: _Lowered, low2: _Lowered, groups, n: int):
+    """Per multiplicity vector m of size 2..n-1 and level k strictly between
+    its two sums S and S2, the crossing parameter u0 = (k - S) / (S2 - S) as
+    (num, den, k, m): num and den unreduced integer coefficient lists of one
+    length, den positive near e = 0."""
+    unit, unit2 = low.packed_unit, low2.packed_unit
     found = []
     for mult, size, (s, s2) in _multiplicities(groups):
-        if not 2 <= size <= b.n - 1:
+        if not 2 <= size <= n - 1:
             continue
-        # The levels strictly between the two sums S and S2: from
-        # floor(min) + 1 to ceil(max) - 1.
+        # The levels strictly between S and S2: from floor(min) + 1 to
+        # ceil(max) - 1.
         first = min(s // unit, s2 // unit2) + 1
         last = max(-(-s // unit), -(-s2 // unit2)) - 1
         if first > last:
             continue
-        # u0 = (k - S) / (S2 - S) with S = A/D and S2 = A2/D2, as num/den
-        # with den = sign * (A2*D - A*D2) > 0 near 0.
+        # With S = A/D and S2 = A2/D2, u0 = (k*D - A)*D2 / (A2*D - A*D2), both
+        # times the sign that makes the denominator positive near 0.
         sign = 1 if s2 > first * unit2 else -1
         start = _unpack(s, low.bits, len(low.unit))
         end = _unpack(s2, low2.bits, len(low2.unit))
@@ -398,63 +479,82 @@ def segment_walls(b: WeightVector, b2: WeightVector) -> list[Crossing]:
         for k in range(first, last + 1):
             num = poly_mul(_unpack(k * unit - s, low.bits, len(low.unit)), low2.unit)
             found.append(([sign * x for x in num], den, k, mult))
-    # Every num and den has len(D) + len(D2) - 1 coefficients.  Evaluated at
-    # e = 1/B, with B above twice any coefficient of num*den2 - num2*den,
-    # num/den is a Fraction in the order of u0 in Q(e), equal exactly when
-    # the u0 are.
-    top = max((abs(x) for num, den, _, _ in found for x in num + den), default=0)
-    bits = (4 * (len(low.unit) + len(low2.unit)) * top * top).bit_length()
-    keyed = sorted(
-        (
-            (Fraction(_pack(num, bits), _pack(den, bits)), num, den, k, mult)
-            for num, den, k, mult in found
-        ),
-        key=itemgetter(0),
-    )
-    lines = _crossing_lines(b, b2, groups)
-    crossings = []
-    for _, run in groupby(keyed, key=itemgetter(0)):
-        run = list(run)
-        _, num, den, _, _ = run[0]
-        u0 = EpsRat.from_integers(num, den)
-        point = _crossing_point(b, lines, u0)
-        batch = [
-            Crossing(Wall(I, k), u0, point)
-            for _, _, _, k, mult in run
-            for I in _expand_subsets(groups, mult)
-        ]
-        batch.sort(key=lambda c: c.wall.sort_key())
-        crossings += batch
-    return crossings
+    return found
 
 
-def _crossing_lines(b, b2, groups):
-    """Per value group, the products (P, Q, R, indices) of its crossing entry
-    that do not depend on u0: P = xn*yd, Q = yn*xd and R = xd*yd for the
-    stored integer pairs of the group's entries x = xn/xd of b and y = yn/yd
-    of b2."""
-    lines = []
+def _u0_keys(found) -> list[int]:
+    """One integer sort key per u0 = num/den in found (coefficient lists of
+    one length L, den positive near e = 0), ordered as the u0 are in Q(e)
+    and equal exactly when they are.
+
+    Packed in base B = 2^bits, num and den are B^(L-1) times their values at
+    e = 1/B, so pn/pd is u0 there, and with B above twice any coefficient of
+    num*den2 - num2*den these values keep the order of Q(e).  Two distinct
+    fractions p/q < r/s with q, s > 0 differ by at least 1/(q*s), so with
+    2^K above every pd^2, floor(pn * 2^K / pd) keeps their order and ties.
+    """
+    top = max(abs(x) for num, den, _, _ in found for x in num + den)
+    bits = (4 * len(found[0][0]) * top * top).bit_length()
+    packed = [(_pack(num, bits), _pack(den, bits)) for num, den, _, _ in found]
+    shift = 2 * max(pd for _, pd in packed).bit_length()
+    return [(pn << shift) // pd for pn, pd in packed]
+
+
+def _crossing_lines(b, b2, groups, u0s):
+    """The packing base for the crossing points at u0s on the segment from b
+    to b2, and per value group the packed products (P, Q, R) of its crossing
+    entry that do not depend on u0, with their lengths and the group's
+    indices: P = xn*yd, Q = yn*xd and R = xd*yd for the stored integer pairs
+    of the group's entries x = xn/xd of b and y = yn/yd of b2, P and Q
+    padded to one length.
+
+    With u0 = u/v, the entry's numerator P*(v - u) + Q*u has coefficients at
+    most (2*|P|_1 + |Q|_1) * m and its denominator R*v at most |R|_1 * m,
+    where |.|_1 sums absolute coefficients and m is the largest coefficient
+    of the reduced u and v.  The base is past twice both bounds over every
+    group and u0, so the packed products unpack digit by digit.
+    """
+    products = []
+    reach = 0
     for _, indices in groups:
         x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
         xn, xd, yn, yd = x.int_num, x.int_den, y.int_num, y.int_den
-        lines.append((poly_mul(xn, yd), poly_mul(yn, xd), poly_mul(xd, yd), indices))
-    return lines
+        p, q, r = poly_mul(xn, yd), poly_mul(yn, xd), poly_mul(xd, yd)
+        length = max(len(p), len(q))
+        p += [0] * (length - len(p))
+        q += [0] * (length - len(q))
+        reach = max(reach, 2 * sum(map(abs, p)) + sum(map(abs, q)), sum(map(abs, r)))
+        products.append((p, q, r, indices))
+    m = max(max(map(abs, u0.int_num + u0.int_den)) for u0 in u0s)
+    bits = (2 * reach * m).bit_length()
+    lines = [
+        (_pack(p, bits), _pack(q, bits), _pack(r, bits), len(p), len(r), indices)
+        for p, q, r, indices in products
+    ]
+    return bits, lines
 
 
-def _crossing_point(b, lines, u0: EpsRat) -> WeightVector:
+def _crossing_point(b, bits, lines, u0: EpsRat) -> WeightVector:
     """(1-u0)*b + u0*b2 for the segment from b to b2 whose `_crossing_lines`
-    are `lines`.  With u0 = u/v, a value group's entry is
-    (P*(v - u) + Q*u) / (R*v): three products per group and u0, on the
-    entries' own reduced forms, so its degree stays near u0's."""
+    are (bits, lines).  With u0 = u/v, u and v are packed once, padded to one
+    length, and a value group's entry is (P*(v - u) + Q*u) / (R*v): three
+    int products per group, unpacked and reduced on integers.  The entry
+    lies in (0, 1] as a convex combination of two that do, so the point is
+    built without the constructor's checks."""
     u, v = u0.int_num, u0.int_den
-    w = poly_add(v, u, -1)
+    width = max(len(u), len(v))
+    pu = _pack(u, bits) << (bits * (width - len(u)))
+    pv = _pack(v, bits) << (bits * (width - len(v)))
+    pw = pv - pu
     entries = [ZERO] * b.n
-    for p, q, r, indices in lines:
-        top = poly_add(poly_mul(p, w), poly_mul(q, u))
-        value = EpsRat.from_integers(top, poly_mul(r, v))
+    for p, q, r, length, rlength, indices in lines:
+        value = EpsRat.from_integers(
+            _unpack(p * pw + q * pu, bits, length + width - 1),
+            _unpack(r * pv, bits, rlength + width - 1),
+        )
         for j in indices:
             entries[j - 1] = value
-    return WeightVector(b.d, b.n, entries)
+    return _weight_vector(b.d, b.n, tuple(entries))
 
 
 def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:

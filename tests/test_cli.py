@@ -559,6 +559,24 @@ def test_eps_in_exponent_notation_is_refused_at_once(capsys):
     assert time.process_time() - start < 1
 
 
+def test_segment_with_long_coefficients_is_refused_at_once(capsys, tmp_path):
+    # 8 entries a/b of about 990 digits each against t: this segment ran
+    # about 20 s of CPU before its coefficient-size guard.
+    rng = random.Random(5)
+    entries = []
+    for _ in range(8):
+        den = rng.randrange(10**989, 10**990)
+        entries.append("%d/%d" % (rng.randrange(den // 2 + 1, den), den))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"d": 1, "n": 8, "entries": entries}))
+    argv = ["segment", "--from", str(path), "--to", "t", "--d", "1", "--n", "8"]
+    start = time.process_time()
+    err = _one_line_error(capsys, argv)
+    assert time.process_time() - start < 1
+    assert "segment over 256 multiplicity vectors with sums of " in err
+    assert "word products; capped at 10,000,000" in err
+
+
 def _transcript(capsys, monkeypatch, calls, fresh):
     """(exit code, stdout, stderr) of each call of main, in one process, on
     one reused parser or on a freshly built parser per call."""

@@ -15,6 +15,7 @@ from wallcross.epsfield import (
     ZERO,
     EpsPoly,
     EpsRat,
+    _int_gcd,
     _normal_form,
     clear_denominators,
     eps_cmp,
@@ -213,6 +214,26 @@ def test_constant_normal_form_matches_the_general_route():
     for p in (0, 1, -3, big):
         with pytest.raises(DivisionByZero, match=r"^zero denominator in Q\(e\)$"):
             _normal_form([p], [0])
+
+
+def test_linear_gcd_matches_the_remainder_sequence():
+    # A linear divisor is tested at its root, not by a remainder sequence;
+    # against Euclid over Q, with and without a shared root, either order.
+    rng = random.Random(19)
+    shared = 0
+    for _ in range(600):
+        scale = 10 ** rng.choice([1, 1, 30])
+        v = [rng.randint(-scale, scale), rng.choice([-6, -3, -1, 1, 2, 6]) * rng.randint(1, scale)]
+        u = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-4, -1, 1, 5])]
+        if rng.random() < 0.5:
+            u = poly_mul(u, v)
+        want = _ref_gcd(_ref_trim(u), _ref_trim(v))
+        shared += len(want) == 2
+        for got in (_int_gcd(u, v), _int_gcd(v, u)):
+            assert tuple(Fraction(c, got[-1]) for c in got) == want, (u, v)
+        x = EpsRat.from_integers(u, v)
+        assert (x.num.coeffs, x.den.coeffs) == ref_normal(u, v), (u, v)
+    assert shared > 250
 
 
 def test_from_integers_reduces_past_the_degree_guard():

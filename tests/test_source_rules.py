@@ -102,3 +102,17 @@ def test_no_unicode_digit_predicates():
             if isinstance(node, ast.Attribute) and node.attr in banned
         ]
     assert found == []
+
+
+def test_weights_imports_nothing_from_fractions():
+    # The weight domain runs its inner loops on ints, with one exact
+    # representation: no Fraction key, sum or point in weights.py.
+    path = PACKAGE / "weights.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        "weights.py:%d" % node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert found == []

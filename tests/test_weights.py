@@ -1,8 +1,11 @@
 """Tests for the weight domain: walls, crossings, chamber predicates."""
 
+import collections
 import itertools
 import random
 import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,14 +15,17 @@ from wallcross.arrangement import Arrangement, dichotomy_check, e_configuration
 from wallcross.epsfield import EPS, ZERO, EpsRat, poly_add, poly_mul
 from wallcross.errors import BadParameters, DimensionMismatch, SizeGuard
 from wallcross.weights import (
+    MAX_SEGMENT_WORK,
     Crossing,
     Wall,
     WeightVector,
-    _crossing_lines,
-    _crossing_point,
     _lowered,
+    _pack,
+    _u0_candidates,
+    _u0_keys,
     _value_groups,
     chamber_walls,
+    check_segment_size,
     check_size,
     in_chamber_closure,
     leq,
@@ -696,37 +702,233 @@ def ref_crossing_point(b, b2, groups, u0):
     return WeightVector(b.d, b.n, entries)
 
 
-def test_crossing_points_match_the_six_product_route():
+def ref3_crossing_lines(b, b2, groups):
+    """Per value group, the products (P, Q, R, indices) of its crossing entry
+    that do not depend on u0, as they were formed once per segment before
+    the crossing points moved onto packed ints: P = xn*yd, Q = yn*xd and
+    R = xd*yd for the stored integer pairs of the group's entries x = xn/xd
+    of b and y = yn/yd of b2."""
+    lines = []
+    for _, indices in groups:
+        x, y = b.entries[indices[0] - 1], b2.entries[indices[0] - 1]
+        xn, xd, yn, yd = x.int_num, x.int_den, y.int_num, y.int_den
+        lines.append((poly_mul(xn, yd), poly_mul(yn, xd), poly_mul(xd, yd), indices))
+    return lines
+
+
+def ref3_crossing_point(b, lines, u0):
+    """(1-u0)*b + u0*b2 from `ref3_crossing_lines`, as it was built on
+    integer coefficient lists: with u0 = u/v, a value group's entry is
+    (P*(v - u) + Q*u) / (R*v), three `poly_mul`s per group and u0, passed
+    through the validating constructor."""
+    u, v = u0.int_num, u0.int_den
+    w = poly_add(v, u, -1)
+    entries = [ZERO] * b.n
+    for p, q, r, indices in lines:
+        top = poly_add(poly_mul(p, w), poly_mul(q, u))
+        value = EpsRat.from_integers(top, poly_mul(r, v))
+        for j in indices:
+            entries[j - 1] = value
+    return WeightVector(b.d, b.n, entries)
+
+
+def _check_points_against(reference):
+    """Every crossing point of the differential corpus against reference(b,
+    b2, groups) -> (u0 -> point); returns the number of distinct u0."""
     distinct = 0
     for b, b2 in _differential_corpus():
         crossings = segment_walls(b, b2)
-        groups = _value_groups(_lowered(b), _lowered(b2))
+        point_at = reference(b, b2, _value_groups(_lowered(b), _lowered(b2)))
         points = {}
         for c in crossings:
             if c.u0 not in points:
-                points[c.u0] = ref_crossing_point(b, b2, groups, c.u0)
+                points[c.u0] = point_at(c.u0)
         ref = [Crossing(c.wall, c.u0, points[c.u0]) for c in crossings]
         assert _crossing_text(crossings) == _crossing_text(ref), (b, b2)
         distinct += len(points)
-    assert distinct > 100
+    return distinct
 
 
-def test_crossing_point_takes_three_products_per_group(monkeypatch):
+def test_crossing_points_match_the_six_product_route():
+    def six(b, b2, groups):
+        return lambda u0: ref_crossing_point(b, b2, groups, u0)
+
+    assert _check_points_against(six) > 100
+
+
+def test_crossing_points_match_the_three_product_route():
+    def three(b, b2, groups):
+        lines = ref3_crossing_lines(b, b2, groups)
+        return lambda u0: ref3_crossing_point(b, lines, u0)
+
+    assert _check_points_against(three) > 100
+
+
+def test_crossing_lines_and_u0_are_packed_once(monkeypatch):
+    # Each value group's three products are packed once per segment, each
+    # distinct u0 packs its reduced u and v once, and the sort keys pack
+    # each candidate's num and den once.
     b, b2 = _packing_pair()
-    lines = _crossing_lines(b, b2, _value_groups(_lowered(b), _lowered(b2)))
-    u0s = {c.u0 for c in segment_walls(b, b2)}
-    calls = [0]
+    low, low2 = _lowered(b), _lowered(b2)
+    groups = _value_groups(low, low2)
+    candidates = len(_u0_candidates(low, low2, groups, b.n))
+    calls = collections.Counter()
+    u0_packs = []
 
-    def counting_mul(a, c):
-        calls[0] += 1
-        return poly_mul(a, c)
+    def counting_pack(coeffs, bits):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        calls[caller] += 1
+        if caller == "_crossing_point":
+            u0_packs.append(coeffs)
+        return _pack(coeffs, bits)
 
-    monkeypatch.setattr(weights, "poly_mul", counting_mul)
-    for u0 in u0s:
-        _crossing_point(b, lines, u0)
+    monkeypatch.setattr(weights, "_pack", counting_pack)
+    crossings = segment_walls(b, b2)
     monkeypatch.undo()
-    assert len(lines) == 3 and len(u0s) > 1
-    assert calls[0] == 3 * len(lines) * len(u0s)
+    u0s = list(dict.fromkeys(c.u0 for c in crossings))
+    assert len(groups) == 3 and len(u0s) > 1 and candidates >= len(u0s)
+    assert calls == {
+        "_crossing_lines": 3 * len(groups),
+        "_crossing_point": 2 * len(u0s),
+        "_u0_keys": 2 * candidates,
+    }
+    expected = [x for u0 in u0s for x in (u0.int_num, u0.int_den)]
+    assert len(u0_packs) == len(expected)
+    assert all(got is want for got, want in zip(u0_packs, expected))
+
+
+def _ranks(values):
+    """Each value's place among the distinct values: equal ranks lists mean
+    the same order and the same ties."""
+    place = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [place[v] for v in values]
+
+
+def test_integer_u0_keys_order_as_fraction_keys():
+    # The Fraction keys they replaced: num and den packed at the same base,
+    # divided.  The Q(e) values are the independent order.
+    compared = ties = 0
+    for b, b2 in _differential_corpus():
+        low, low2 = _lowered(b), _lowered(b2)
+        found = _u0_candidates(low, low2, _value_groups(low, low2), b.n)
+        if not found:
+            continue
+        top = max(abs(x) for num, den, _, _ in found for x in num + den)
+        bits = (4 * (len(low.unit) + len(low2.unit)) * top * top).bit_length()
+        fraction_keys = [Fraction(_pack(num, bits), _pack(den, bits)) for num, den, _, _ in found]
+        values = [EpsRat.from_integers(num, den) for num, den, _, _ in found]
+        ranks = _ranks(_u0_keys(found))
+        assert ranks == _ranks(fraction_keys) == _ranks(values), (b, b2)
+        compared += len(found)
+        ties += len(found) - len(set(ranks))
+    assert compared > 400 and ties > 10
+
+
+def test_integer_u0_keys_separate_close_fractions():
+    # Ratios of consecutive Fibonacci numbers are Farey neighbours: two of
+    # them differ by exactly 1/(q*s), the least gap the keys must resolve.
+    fib = [1, 1]
+    while len(fib) < 60:
+        fib.append(fib[-1] + fib[-2])
+    ratios = [Fraction(fib[i], fib[i + 1]) for i in range(20, 58)]
+    for length in (1, 3):
+        pad = [0] * (length - 1)
+        found = [([x.numerator] + pad, [x.denominator] + pad, 0, ()) for x in ratios]
+        found += [([2 * x.numerator] + pad, [2 * x.denominator] + pad, 0, ()) for x in ratios]
+        assert _ranks(_u0_keys(found)) == _ranks(ratios + ratios)
+
+
+def test_built_points_and_walls_equal_validated_ones():
+    walls = points = 0
+    for b, b2 in _differential_corpus():
+        built = walls_containing(b) + walls_containing(b2)
+        crossings = segment_walls(b, b2)
+        built += [c.wall for c in crossings]
+        for w in built:
+            validated = Wall(w.I, w.k)
+            assert type(w) is Wall and w == validated and hash(w) == hash(validated)
+            assert repr(w) == repr(validated)
+        for c in crossings:
+            validated = WeightVector(b.d, b.n, c.point.entries)
+            assert type(c.point) is WeightVector and c.point == validated
+            assert _lowered(c.point) == _lowered(validated)
+        walls += len(built)
+        points += len(crossings)
+    assert walls > 1000 and points > 1000
+
+
+@pytest.mark.parametrize(
+    "I, k, message",
+    [
+        ({1}, 1, "at least two elements"),
+        ({1, 2}, 0, "positive integer"),
+        ({0, 1}, 1, "1-based positive integers"),
+        ({Fraction(1, 2), 2}, 1, "1-based positive integers"),
+        ({"1", 2}, 1, "1-based positive integers"),
+    ],
+)
+def test_public_wall_constructor_still_validates(I, k, message):
+    with pytest.raises(BadParameters, match=message):
+        Wall(frozenset(I), k)
+
+
+def test_public_weight_vector_constructor_still_validates():
+    b, b2 = _packing_pair()
+    point = segment_walls(b, b2)[0].point
+    entries = list(point.entries)
+    for bad in (ZERO, -e, 1 + e, entries[0] + 1):
+        with pytest.raises(BadParameters, match="is outside \\(0, 1\\]"):
+            WeightVector(point.d, point.n, [bad] + entries[1:])
+
+
+# -- the coefficient-size guard on segments ---------------------------------------
+
+
+def _long_entries(count, digits, seed=5):
+    """count entries a/b in (1/2, 1) with b of the given number of digits."""
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(count):
+        den = rng.randrange(10 ** (digits - 1), 10**digits)
+        entries.append(Fraction(rng.randrange(den // 2 + 1, den), den))
+    return entries
+
+
+SEGMENT_GUARD = (
+    "^segment over ([0-9,]+) multiplicity vectors with sums of ([0-9]+) words needs "
+    "about ([0-9,]+) word products; capped at 10,000,000$"
+)
+
+
+def test_segment_guard_refuses_long_coefficients_at_once(monkeypatch):
+    # 8 entries of about 990 digits against t: this segment ran about 20 s
+    # of CPU before the guard.
+    b = WeightVector(1, 8, _long_entries(8, 990))
+    monkeypatch.setattr(weights, "_u0_candidates", _refuse_to_enumerate)
+    start = time.process_time()
+    with pytest.raises(SizeGuard) as caught:
+        segment_walls(b, t_weights(1, 8))
+    assert time.process_time() - start < 1
+    match = re.match(SEGMENT_GUARD, str(caught.value))
+    assert match, str(caught.value)
+    count, words, work = (int(x.replace(",", "")) for x in match.groups())
+    assert count == 2**8 and work == count * words * words > MAX_SEGMENT_WORK
+
+
+def _refuse_to_enumerate(*args):
+    raise RuntimeError("enumerated a segment that its size guard refuses")
+
+
+def test_segment_guard_passes_the_test_inputs():
+    # 6 entries of about 900 digits against t run in about a second; the
+    # differential corpus stays far below the cap.
+    b = WeightVector(1, 6, _long_entries(6, 900))
+    for pair in [(b, t_weights(1, 6))] + _differential_corpus():
+        lows = [_lowered(x) for x in pair]
+        check_segment_size(*lows, _value_groups(*lows))
 
 
 def test_entry_bounds_and_crossings_compare_no_qe_values(monkeypatch):
