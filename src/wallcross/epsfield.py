@@ -753,7 +753,8 @@ def parse_poly(text: str, var: str = "t") -> "tuple[Fraction, ...]":
     value = parse_eps_rat(text, var=var)
     if len(value.int_den) != 1:
         raise ParseError("expected a polynomial in %r, got %s" % (var, text))
-    return value.num.coeffs
+    c = value.int_den[0]
+    return tuple([Fraction(x, c) for x in value.int_num])
 
 
 def parse_rat(text: str) -> Fraction:

@@ -5,18 +5,19 @@ rational data.
 Rational input is lowered once by `_clear`, which multiplies a list of
 vectors by the lcm of all their denominators, so their ratios are kept; a
 vector is taken up to scale by `_primitive`.  The only elimination is
-`_meet`: one fraction-free step that cuts an integer kernel basis by one
-more row.  The flat lattice (`arrangement`), `is_e_type`, the Q(e)
-constructor (`epsfield`) and the jet separation pass (`jets`) all run on
-these.  Nothing here ever touches floating point, and this module imports
-nothing from the package.
+`_restrict`: one fraction-free step that restricts linear functionals on a
+space to the hyperplane where one of them vanishes, in coordinates of that
+hyperplane.  The flat lattice (`arrangement`) walks the restricted
+arrangement with it, and `_independent` runs on it too; the Q(e)
+constructor (`epsfield`) and the jet separation pass (`jets`) lower through
+`_clear`.  Nothing here ever touches floating point, and this module
+imports nothing from the package.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def _clear(vectors: Sequence[Sequence]) -> list[list[int]]:
@@ -26,10 +27,12 @@ def _clear(vectors: Sequence[Sequence]) -> list[list[int]]:
     return [[c.numerator * (scale // c.denominator) for c in v] for v in vectors]
 
 
-def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+def _primitive(ints: Sequence[int]) -> Optional[tuple[int, ...]]:
     """A nonzero integer vector up to scale: content divided out, first
-    nonzero entry positive."""
+    nonzero entry positive.  None for the zero vector."""
     g = gcd(*ints)
+    if not g:
+        return None
     # A loop, not next() over a generator: this builds every restriction
     # key of the flat lattice, and a generator costs a frame per call.
     for x in ints:
@@ -40,42 +43,33 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
+def _restrict(
+    w: tuple[int, ...], rows: Sequence[tuple[int, ...]]
+) -> list[Optional[tuple[int, ...]]]:
+    """The functionals rows restricted to the hyperplane w.x = 0, each up to
+    scale, or None for a row proportional to w (it vanishes there).
 
-
-def _meet(kernel: list[tuple[int, ...]], row: tuple[int, ...]):
-    """An integer basis of {x in span(kernel) : row.x = 0}, or None when row
-    is orthogonal to all of kernel (the hyperplane contains the flat).
-
-    One fraction-free elimination step: with v_t = row.k_t and a pivot t0
-    where v_t0 != 0, the primitive vectors of v_t0*k_t - v_t*k_t0 for
-    t != t0.
+    One fraction-free elimination step (Bareiss): with t0 the first nonzero
+    coordinate of w, the vectors e_t*w[t0] - e_t0*w[t] for t != t0 are a
+    basis of the hyperplane, and row r takes the values of
+    w[t0]*r - r[t0]*w on it, that vector with coordinate t0 dropped.
     """
-    vals = [_dot(row, k) for k in kernel]
-    for t0, p in enumerate(vals):
+    for t0, p in enumerate(w):
         if p:
             break
-    else:
-        return None
-    k0 = kernel[t0]
-    return [
-        _primitive([p * a - v * b for a, b in zip(k, k0)])
-        for t, (v, k) in enumerate(zip(vals, kernel))
-        if t != t0
-    ]
+    out: list[Optional[tuple[int, ...]]] = []
+    for r in rows:
+        q = r[t0]
+        v = [p * a - q * b for a, b in zip(r, w)] if q else list(r)
+        del v[t0]
+        out.append(_primitive(v))
+    return out
 
 
-def _whole_space(dim: int) -> list[tuple[int, ...]]:
-    return [tuple([int(s == t) for t in range(dim)]) for s in range(dim)]
-
-
-def _independent(rows: list[tuple[int, ...]]) -> bool:
-    """Whether the integer rows are linearly independent: each one meets the
-    kernel of those before it in a smaller subspace."""
-    kernel = _whole_space(len(rows[0]))
-    for row in rows:
-        kernel = _meet(kernel, row)
-        if kernel is None:
-            return False
-    return True
+def _independent(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer rows are linearly independent: none is zero, and
+    restricted to the zero set of the first, the others are independent."""
+    keys = [_primitive(r) for r in rows]
+    while keys and None not in keys:
+        keys = _restrict(keys[0], keys[1:])
+    return not keys

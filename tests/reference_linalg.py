@@ -1,11 +1,13 @@
 """Test-side linear algebra that shares no code with the integer kernels in
 `wallcross.linalg`: a fraction-free (Bareiss) matrix rank, the reduced row
-echelon form over Q, a canonical basis of a row space, and the primitive
-key and elimination step as `linalg` wrote them with next() over a
-generator, the reference for its loops."""
+echelon form over Q, a canonical basis of a row space, the primitive key
+and the restriction step written with next() over a generator, the
+references for `linalg`'s loops, the flat lattice by the level walk on
+integer kernel bases that `wallcross.arrangement` ran before it walked the
+restricted arrangement, and the flat guard's estimate of that walk's work."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
 Row = Sequence[Fraction]
@@ -91,6 +93,19 @@ def primitive(ints):
     return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
 
 
+def restrict(w, rows):
+    """The rows restricted to w.x = 0, each up to scale, or None for a row
+    proportional to w: the primitive vectors of w_t0*r - r_t0*w with
+    coordinate t0 dropped, for the first t0 with w_t0 != 0."""
+    t0 = next(t for t, x in enumerate(w) if x)
+    out = []
+    for r in rows:
+        v = [w[t0] * a - r[t0] * b for a, b in zip(r, w)]
+        del v[t0]
+        out.append(primitive(v) if any(v) else None)
+    return out
+
+
 def meet(kernel, row):
     """An integer basis of {x in span(kernel) : row.x = 0}, or None when row
     is orthogonal to all of kernel: the primitive vectors of
@@ -105,3 +120,47 @@ def meet(kernel, row):
         for t, (v, k) in enumerate(zip(vals, kernel))
         if t != t0
     ]
+
+
+def kernel_flats(d, rows):
+    """(codim, support) of every nonempty flat of the arrangement with these
+    rows in P^d, sorted, with 1-based supports.
+
+    The level walk on integer kernel bases: each flat F keeps a basis
+    k_1..k_r of its linear subspace, each hyperplane outside its support
+    restricts to (dir.k_1, ..., dir.k_r), the classes of proportional
+    restrictions are F's covers, and `meet` gives each new cover below
+    codimension d its basis.
+    """
+    directions = [primitive(row) for row in _integer_rows(rows)]
+    found = []
+    seen = set()
+    whole = [tuple(int(s == t) for t in range(d + 1)) for s in range(d + 1)]
+    level = [(frozenset(), whole)]
+    for codim in range(1, d + 1):
+        next_level = []
+        for support, kernel in level:
+            classes = {}
+            for i, direction in enumerate(directions, 1):
+                if i in support:
+                    continue
+                restriction = [sum(a * b for a, b in zip(direction, k)) for k in kernel]
+                assert any(restriction), (i, sorted(support))
+                classes.setdefault(primitive(restriction), []).append(i)
+            for members in classes.values():
+                new = support.union(members)
+                if new in seen:
+                    continue
+                seen.add(new)
+                found.append((codim, tuple(sorted(new))))
+                if codim < d:
+                    next_level.append((new, meet(kernel, directions[members[0] - 1])))
+        level = next_level
+    return [(codim, frozenset(support)) for codim, support in sorted(found)]
+
+
+def flat_work(d, n):
+    """The flat guard's estimate for n hyperplanes in P^d: 16 units a
+    hyperplane, plus for each codimension c < d at most C(n, c) flats, each
+    restricting at most n rows at (d+1-c)(d+1) products a row."""
+    return 16 * n + sum(comb(n, c) * n * (d + 1 - c) * (d + 1) for c in range(d))

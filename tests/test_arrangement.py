@@ -21,12 +21,12 @@ from wallcross.arrangement import (
 )
 from wallcross.epsfield import EPS, EpsRat
 from wallcross.errors import BadParameters, InvariantBreach, PreconditionViolated, SizeGuard
-from wallcross.linalg import _primitive
+from wallcross.linalg import _independent, _primitive
 from wallcross.weights import WeightVector, nt_weights, t_weights
 
-from reference_linalg import bareiss_rank, rref
-from reference_linalg import meet as reference_meet
+from reference_linalg import bareiss_rank, flat_work, kernel_flats, rref
 from reference_linalg import primitive as reference_primitive
+from reference_linalg import restrict as reference_restrict
 
 e = EPS
 
@@ -270,16 +270,22 @@ def _refuse_lattice(arr):
 
 
 def test_flats_size_guard(monkeypatch):
-    # W = sum_{c<d} C(n, c)*n*(d+1-c)*(d+1), summed until it passes the cap.
+    # W = 16n + sum_{c<d} C(n, c)*n*(d+1-c)*(d+1), summed until it passes
+    # the cap.
     monkeypatch.setattr(arrangement_module, "_lattice", _refuse_lattice)
     with pytest.raises(SizeGuard) as caught:
         flats(e_configuration(13, 16))
     assert str(caught.value) == (
-        "flat enumeration for d = 13, n = 16 is estimated at 14,634,816 integer "
+        "flat enumeration for d = 13, n = 16 is estimated at 14,635,072 integer "
         "products or more; capped at 6,000,000"
     )
-    with pytest.raises(SizeGuard, match="d = 2, n = 1000000 is estimated at 9,000,000 "):
+    with pytest.raises(SizeGuard, match="d = 2, n = 1000000 is estimated at 25,000,000 "):
         arrangement_module.check_size(2, 1_000_000)
+    # At d = 1 the walk makes no products: the per-hyperplane term alone
+    # bounds n.
+    arrangement_module.check_size(1, 300_000)
+    with pytest.raises(SizeGuard, match="d = 1, n = 300001 is estimated at 6,000,020 "):
+        arrangement_module.check_size(1, 300_001)
     monkeypatch.undo()
     assert len(flats(e_configuration(2, 17))) == 10
     rng = random.Random(34)
@@ -322,15 +328,17 @@ def test_primitive_matches_the_generator_reference():
 
 
 def test_lattice_matches_the_generator_kernels(monkeypatch):
+    # The restricted walk against the kernel walk it replaced, and against
+    # itself with the restriction step written with generators.
     rng = random.Random(36)
     corpus = [parallel_rows_arrangement(rng, d, n) for d, n in ((2, 8), (3, 8), (4, 8), (4, 9))]
     corpus += [e_image(rng, d, n) for d, n in ((1, 5), (2, 9), (3, 10), (4, 8))]
     corpus += lattice_corpus()
     got = [arrangement_module._lattice(arr) for arr in corpus]
-    monkeypatch.setattr(arrangement_module, "_primitive", reference_primitive)
-    monkeypatch.setattr(arrangement_module, "_meet", reference_meet)
-    want = [arrangement_module._lattice(arr) for arr in corpus]
-    assert got == want
+    for arr, lattice in zip(corpus, got):
+        assert [(f.codim, f.support) for f in lattice] == kernel_flats(arr.d, arr.rows), arr.rows
+    monkeypatch.setattr(arrangement_module, "_restrict", reference_restrict)
+    assert [arrangement_module._lattice(arr) for arr in corpus] == got
 
 
 def test_flats_match_the_bareiss_reference():
@@ -340,7 +348,7 @@ def test_flats_match_the_bareiss_reference():
     for arr in lattice_corpus() + four:
         got = [(f.codim, f.support) for f in flats(arr)]
         want = [(f.codim, f.support) for f in reference_flats(arr)]
-        assert got == want, arr.rows
+        assert got == want == kernel_flats(arr.d, arr.rows), arr.rows
 
 
 def test_flat_support_rows_cut_out_the_flat():
@@ -358,12 +366,70 @@ def test_flat_support_rows_cut_out_the_flat():
 
 
 def test_a_flat_inside_a_hyperplane_outside_its_support_is_a_breach(monkeypatch):
-    # A meet that drops a kernel vector makes a smaller flat than the one
-    # its support names, which some hyperplane outside the support contains.
-    real = arrangement_module._meet
-    monkeypatch.setattr(arrangement_module, "_meet", lambda kernel, row: real(kernel, row)[:1])
-    with pytest.raises(InvariantBreach):
+    # A restriction that keeps only the first coordinate restricts to a line
+    # inside the cover, a smaller flat than the one its support names, which
+    # some hyperplane outside the support contains: its restriction is zero.
+    real = arrangement_module._restrict
+
+    def to_a_line(w, rows):
+        return [None if r is None or not r[0] else (1,) for r in real(w, rows)]
+
+    monkeypatch.setattr(arrangement_module, "_restrict", to_a_line)
+    with pytest.raises(InvariantBreach, match="contains a flat with support"):
         flats(e_configuration(2, 6))
+
+
+def test_the_flat_guard_bounds_the_products_of_the_walk(restrict_products):
+    rng = random.Random(37)
+    corpus = lattice_corpus()
+    corpus += [parallel_rows_arrangement(rng, d, n) for d, n in ((2, 12), (3, 9), (4, 8), (4, 9))]
+    corpus += [e_image(rng, d, n) for d, n in ((2, 9), (3, 10), (4, 8))]
+    corpus += [random_arrangement(rng, d, n) for d, n in ((2, 100), (3, 30), (4, 16))]
+    largest = 0
+    for arr in corpus:
+        restrict_products[0] = 0
+        flats(arr)
+        assert restrict_products[0] <= flat_work(arr.d, arr.n), arr.rows
+        largest = max(largest, restrict_products[0] / flat_work(arr.d, arr.n))
+    assert largest > 0.2
+
+
+def independence_corpus(rng):
+    """Integer row sets of 1..5 rows of length 1..5, with entries in
+    [-3, 3]; about half are made dependent by a zero row, a multiple of an
+    earlier row, the negated sum of earlier rows (a zero-sum set) or an
+    integer combination of two of them."""
+    for _ in range(3000):
+        length = rng.randint(1, 5)
+        count = rng.randint(1, min(length, 5))
+        rows = [[rng.randint(-3, 3) for _ in range(length)] for _ in range(count)]
+        kind = rng.choice(("none", "zero", "multiple", "zero-sum", "combination"))
+        if count > 1 and kind != "none":
+            j = rng.randrange(1, count)
+            earlier = rows[:j]
+            if kind == "zero":
+                rows[j] = [0] * length
+            elif kind == "multiple":
+                k = rng.choice((-3, -1, 2, 5))
+                rows[j] = [k * x for x in rng.choice(earlier)]
+            elif kind == "zero-sum":
+                rows[j] = [-sum(col) for col in zip(*earlier)]
+            else:
+                a, b = rng.choice(earlier), rng.choice(earlier)
+                s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows[j] = [s * x + t * y for x, y in zip(a, b)]
+        yield [tuple(row) for row in rows]
+
+
+def test_independent_matches_the_bareiss_rank():
+    dependent = 0
+    total = 0
+    for rows in independence_corpus(random.Random(38)):
+        want = bareiss_rank(rows) == len(rows)
+        assert _independent(rows) == want, rows
+        dependent += not want
+        total += 1
+    assert 0.4 < dependent / total < 0.6
 
 
 # -- independent log-canonicity oracle ---------------------------------------------
@@ -551,6 +617,13 @@ def test_dichotomy_builds_the_lattice_once(monkeypatch):
 
 
 # -- log canonicity and stability ------------------------------------------------
+
+
+def test_e_configuration_states_the_shape_it_refuses():
+    for d, n in ((0, 5), (2, 4), (-1, 1)):
+        with pytest.raises(BadParameters) as caught:
+            e_configuration(d, n)
+        assert str(caught.value) == "need d >= 1 and n >= d + 3, got d=%d n=%d" % (d, n)
 
 
 def test_e_configuration_rows():

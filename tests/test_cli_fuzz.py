@@ -3,7 +3,9 @@
 flags for `ample --model blowup`: every input ends in a report (exit 0) or
 in one line on stderr (exit 2), never in a traceback.  Rationals, integer
 fields and integer flags now and then take a number shape outside the one
-number grammar (NUMBER_SHAPES).
+number grammar (NUMBER_SHAPES).  On the arrangement documents the guard
+accepts, the flat walk makes no more integer products than the guard's
+estimate.
 
 The run is derandomized and bounded, so it is the same on every machine.
 """
@@ -13,7 +15,11 @@ import random
 
 import pytest
 
-from wallcross.cli import main
+from wallcross.arrangement import check_size, flats
+from wallcross.cli import arrangement_from_json, main
+from wallcross.errors import WallcrossError
+
+from reference_linalg import flat_work
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -185,6 +191,21 @@ def test_stability_documents_exit_0_or_2(capsys, tmp_path, call):
     report = _exit_0_or_2(capsys, ["stability", str(arr_path), "--weights", spec] + flags)
     if report is not None:
         assert report["status"] in ("stable", "not-lc", "not-positive")
+
+
+@FUZZ
+@given(drawn=arrangement_documents())
+def test_flat_guard_bounds_the_products_of_the_walk(restrict_products, drawn):
+    # Each document the guard accepts makes at most the estimated number of
+    # integer products.
+    try:
+        arr = arrangement_from_json(drawn[2])
+        check_size(arr.d, arr.n)
+    except WallcrossError:
+        return
+    restrict_products[0] = 0
+    flats(arr)
+    assert restrict_products[0] <= flat_work(arr.d, arr.n)
 
 
 @st.composite

@@ -701,3 +701,39 @@ def test_parse_poly():
     assert parse_poly("t/2 + 1/3", var="t") == (Fraction(1, 3), Fraction(1, 2))
     with pytest.raises(ParseError):
         parse_poly("1/(1+t)", var="t")
+
+
+def poly_texts(rng):
+    """Polynomials in t as the parser reads them: sums of rational multiples
+    of powers, products of linear factors, and either over a constant that
+    may be negative, with their Fraction coefficients."""
+    for _ in range(300):
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+            text = " + ".join("(%s)*t^%d" % (c, k) for k, c in enumerate(coeffs))
+        elif kind == 1:
+            a, b, c, f = (rng.randint(-4, 4) for _ in range(4))
+            coeffs = [Fraction(a * c), Fraction(a * f + b * c), Fraction(b * f)]
+            text = "(%d + %d*t)*(%d - %d*t)" % (a, b, c, -f)
+        else:
+            coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
+            text = "-(%s)" % " + ".join("%d*t^%d" % (c, k) for k, c in enumerate(coeffs))
+            coeffs = [-c for c in coeffs]
+        if rng.random() < 0.5:
+            k = rng.choice((-7, -2, 3, 12))
+            text = "(%s)/(%d)" % (text, k)
+            coeffs = [c / k for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        yield text, tuple(coeffs)
+
+
+def test_parse_poly_reads_the_integer_pair_as_the_rational_view_did():
+    negative_scale = 0
+    for text, coeffs in poly_texts(random.Random(41)):
+        got = parse_poly(text, var="t")
+        assert got == parse_eps_rat(text, var="t").num.coeffs == coeffs, text
+        assert all(type(c) is Fraction for c in got), text
+        negative_scale += text.endswith("/(-7)") or text.endswith("/(-2)")
+    assert negative_scale > 30
