@@ -76,12 +76,8 @@ def crossing_to_json(c: weights.Crossing) -> dict:
 def arrangement_from_json(doc: Any) -> arr_mod.Arrangement:
     what = "arrangement document"
     d, n = _json_int(doc, "d", what), _json_int(doc, "n", what)
-    rows = []
-    for i, row in enumerate(_json_list(doc, "hyperplanes", what), 1):
-        if not isinstance(row, list):
-            raise ParseError("hyperplane %d must be a JSON list" % i)
-        rows.append([parse_rat(x) for x in row])
-    return arr_mod.Arrangement(d, n, rows)
+    rows = _json_rows(doc, "hyperplanes", what, "hyperplane")
+    return arr_mod.Arrangement(d, n, [[parse_rat(x) for x in row] for row in rows])
 
 
 def flat_to_json(f: Optional[arr_mod.Flat]) -> Optional[dict]:
@@ -120,6 +116,15 @@ def _json_list(doc: Any, key: str, what: str) -> list:
     if not isinstance(value, list):
         raise ParseError("%s field %r must be a JSON list, got %s" % (what, key, json.dumps(value)))
     return value
+
+
+def _json_rows(doc: Any, key: str, what: str, label: str) -> list[list]:
+    """A list field whose entries are JSON lists, such as matrix rows."""
+    rows = _json_list(doc, key, what)
+    for i, row in enumerate(rows, 1):
+        if not isinstance(row, list):
+            raise ParseError("%s %d must be a JSON list, got %s" % (label, i, json.dumps(row)))
+    return rows
 
 
 def _lifting_height(i: int, value: Any) -> Fraction:
@@ -289,11 +294,7 @@ def cmd_ample(args) -> int:
         raise ParseError("the pairing model needs a surface JSON file")
     doc = _load_json(args.surface)
     what = "surface document"
-    matrix = []
-    for i, row in enumerate(_json_list(doc, "matrix", what), 1):
-        if not isinstance(row, list):
-            raise ParseError("matrix row %d must be a JSON list" % i)
-        matrix.append([parse_rat(x) for x in row])
+    matrix = [[parse_rat(x) for x in row] for row in _json_rows(doc, "matrix", what, "matrix row")]
     divisor = [parse_eps_rat(x) for x in _json_list(doc, "divisor", what)]
     surface = blowup.PairingSurface(matrix, divisor)
     degrees = [surface.curve_degree(j) for j in range(surface.curve_count)]
@@ -310,11 +311,10 @@ def cmd_replace(args) -> int:
     d, order = _json_int(doc, "d", what), _json_int(doc, "truncation", what)
     if d < 2:
         raise BadParameters("the broken-pair model needs d >= 2")
-    members = []
-    for i, row in enumerate(_json_list(doc, "members", what), 1):
-        if not isinstance(row, list):
-            raise ParseError("member %d must be a JSON list, got %s" % (i, json.dumps(row)))
-        members.append([jets.JetPoly(parse_poly(text, var="t"), order) for text in row])
+    members = [
+        [jets.JetPoly(parse_poly(text, var="t"), order) for text in row]
+        for row in _json_rows(doc, "members", what, "member")
+    ]
     family = jets.JetFamily(d, members)
     n = args.n if args.n is not None else d + 1 + len(family.members)
     model = jets.stable_replacement_model(family, n)

@@ -26,8 +26,14 @@ happens exactly when such a cell meets the boundary of m*Delta_2 in an
 isolated vertex, and the cell geometry allows that for at most one of the
 three boundary edges.
 
-Everything is exact: potentials, hull computations, areas.  A lifting in
-Q(e) is an infinitesimal perturbation (Edelsbrunner-Muecke, "Simulation of
+A cell's polytope needs no hull either: its edges are parallel to edges of
+Delta_d, so its vertices are its support vertices in a few fixed directions,
+read off the faces' vertex sets by one integer routine (Gritzmann-Sturmfels,
+"Minkowski addition of polytopes", 1993).
+
+Everything is exact: potentials, cell vertices and twice the cell volumes
+are integers, and Fractions appear only in the outputs.  A lifting in Q(e)
+is an infinitesimal perturbation (Edelsbrunner-Muecke, "Simulation of
 Simplicity", 1990); it is scaled by one common factor that is positive near
 e = 0 into integer polynomials in e, whose coefficient tuples, lowest
 degree first, compare in the order of Q(e).
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 from .epsfield import EpsRat, clear_denominators
@@ -229,73 +235,79 @@ def regular_mixed_subdivision(
         cells.append(MixedCell(d, tuple([frozenset(f) for f in faces])))
     cells.sort(key=MixedCell.sort_key)
     subdivision = MixedSubdivision(d, m, heights, tuple(cells))
-    total = sum(cell_volume(c) for c in subdivision.cells)
-    expected = Fraction(m**d, 1 if d == 1 else 2)
+    total = sum([_twice_volume(_polygon(c)) for c in subdivision.cells])
+    expected = 2 * m if d == 1 else m * m
     if total != expected:
         raise InvariantBreach(
-            "cell volumes sum to %s, expected %s" % (total, expected)
+            "cell volumes sum to %s, expected %s"
+            % (Fraction(total, 2), Fraction(expected, 2))
         )
     return subdivision
 
 
 # -- exact cell geometry -----------------------------------------------------
 
+# Every edge of a cell is parallel to an edge of Delta_d, so its outer normal
+# is one of +-(1, 0), +-(0, 1), +-(1, 1) for d = 2 (+-1 for d = 1).  One
+# direction inside each open sector between those normals, counterclockwise,
+# meets every vertex of the cell in turn, and no direction ties two vertices
+# of Delta_d.
+_DIRECTIONS = {
+    1: ((-1,), (1,)),
+    2: ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)),
+}
 
-def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
-    """Counterclockwise hull by monotone chain; collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return list(pts)
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _polygon(cell: MixedCell) -> list[tuple[int, ...]]:
+    """Integer vertices of the cell polytope F_1 + ... + F_m in canonical
+    order: counterclockwise from the smallest for a polygon, sorted when
+    there are at most two.
 
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    The vertex of a Minkowski sum that is extreme in direction u is the sum
+    of each summand's extreme vertex (Gritzmann-Sturmfels, "Minkowski
+    addition of polytopes", 1993).  Vertex v > 0 of Delta_d is e_v, so the
+    cell's vertex in each fixed direction is (faces picking vertex 1, faces
+    picking vertex 2).
+    """
+    d = cell.d
+    if d not in _DIRECTIONS or not cell.faces:
+        raise BadParameters("a cell needs d in {1, 2} and at least one face")
+    for i, face in enumerate(cell.faces, 1):
+        if not face or not face.issubset(range(d + 1)):
+            raise BadParameters("face %d must be a nonempty set of vertices in 0..%d" % (i, d))
+    ring = []
+    for u in _DIRECTIONS[d]:
+        # Vertex 0 is the origin and v > 0 is e_v, so v scores ((0,) + u)[v].
+        score = ((0,) + u).__getitem__
+        picks = [max(face, key=score) for face in cell.faces]
+        ring.append((picks.count(1), picks.count(2))[:d])
+    ring = [p for p, q in zip(ring, ring[1:] + ring[:1]) if p != q] or ring[:1]
+    if len(ring) <= 2:
+        return sorted(ring)
+    k = ring.index(min(ring))
+    return ring[k:] + ring[:k]
+
+
+def _twice_volume(ring: list[tuple[int, ...]]) -> int:
+    """Twice the length (d = 1) or area (d = 2) of a polygon from _polygon."""
+    if len(ring[0]) == 1:
+        return 2 * (ring[-1][0] - ring[0][0])
+    return sum(
+        [x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1])]
+    )
 
 
 def cell_vertices(cell: MixedCell) -> tuple[Point, ...]:
     """Vertices of the Minkowski sum polytope of the cell, in canonical
-    order (sorted for segments, counterclockwise hull for polygons).
-
-    The sum is built one face at a time on integer lattice points, so it
-    never holds more than the C(m+d, d) points of m*Delta_d.
-    """
-    d = cell.d
-    units = [tuple([int(v == k + 1) for k in range(d)]) for v in range(d + 1)]
-    sums = {(0,) * d}
-    for face in cell.faces:
-        sums = {tuple([a + b for a, b in zip(p, units[v])]) for p in sums for v in face}
-    if d == 1:
-        lo, hi = min(sums), max(sums)
-        hull = [lo] if lo == hi else [lo, hi]
-    else:
-        hull = _convex_hull_2d(list(sums))
-    return tuple([tuple([Fraction(x) for x in p]) for p in hull])
+    order: counterclockwise from the smallest for a polygon, sorted when
+    there are at most two.  A face that is empty or names a vertex outside
+    0..d raises BadParameters."""
+    return tuple([tuple([Fraction(x) for x in p]) for p in _polygon(cell)])
 
 
 def cell_volume(cell: MixedCell) -> Fraction:
     """Length (d = 1) or area (d = 2) of the cell polytope."""
-    vs = cell_vertices(cell)
-    if cell.d == 1:
-        return vs[-1][0] - vs[0][0] if len(vs) == 2 else Fraction(0)
-    if len(vs) < 3:
-        return Fraction(0)
-    acc = Fraction(0)
-    for i in range(len(vs)):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % len(vs)]
-        acc += x0 * y1 - x1 * y0
-    return abs(acc) / 2
+    return Fraction(_twice_volume(_polygon(cell)), 2)
 
 
 def fiber_vertex(subdivision: MixedSubdivision) -> FiberVertex:
@@ -305,43 +317,58 @@ def fiber_vertex(subdivision: MixedSubdivision) -> FiberVertex:
     fine subdivisions give distinct vertices of the fiber polytope of the
     summing projection.  Vertex v > 0 of Delta_d is the unit vector e_v, so
     coordinate j of the barycenter of F is 1/|F| when j + 1 is in F and 0
-    otherwise.
+    otherwise.  With |F| <= 3, each share vol/|F| is 6 * twice-volume / |F|
+    twelfths, an integer count of them.
     """
     if not subdivision.is_fine:
         raise NotFine("fiber vertices are attached to fine subdivisions only")
     d, m = subdivision.d, subdivision.m
-    blocks = [[Fraction(0)] * d for _ in range(m)]
+    blocks = [[0] * d for _ in range(m)]
     for cell in subdivision.cells:
-        vol = cell_volume(cell)
+        twice = _twice_volume(_polygon(cell))
         for block, face in zip(blocks, cell.faces):
-            share = vol / len(face)
+            share = 6 * twice // len(face)
             for v in face:
                 if v:
                     block[v - 1] += share
-    return FiberVertex(d, m, tuple([tuple(b) for b in blocks]))
+    return FiberVertex(d, m, tuple([tuple([Fraction(x, 12) for x in b]) for b in blocks]))
 
 
 def dual_graph(subdivision: MixedSubdivision) -> DualGraph:
     """Cells as nodes, shared facets as labeled edges.
 
-    Cells of a coherent subdivision meet face to face, so two cells meet in
-    a common face whose vertices are their common polytope vertices.  For
-    d <= 2 that face is a facet exactly when they share d vertices; sharing
-    more would make the cells overlap and raises InvariantBreach.
+    Each cell's facets (its endpoints for d = 1, its polygon edges for
+    d = 2) are keyed by their sorted points, and a facet owned by two cells
+    is an edge between them.  Cells of a coherent subdivision meet face to
+    face, so a facet with three owners, or two cells sharing two facets,
+    would make cells overlap and raises InvariantBreach.  Edges come sorted
+    by their cell pair.
     """
-    d = subdivision.d
-    cells = subdivision.cells
-    vert_sets = [frozenset(cell_vertices(c)) for c in cells]
-    edges = []
-    for a, b in combinations(range(len(cells)), 2):
-        common = vert_sets[a] & vert_sets[b]
-        if len(common) > d:
-            raise InvariantBreach(
-                "cells %d and %d share %d vertices" % (a, b, len(common))
-            )
-        if len(common) == d:
-            edges.append(DualGraphEdge(a, b, tuple(sorted(common))))
-    return DualGraph(len(cells), tuple(edges))
+    owners: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for index, cell in enumerate(subdivision.cells):
+        ring = _polygon(cell)
+        if len(ring) <= subdivision.d:
+            raise InvariantBreach("cell %d is not full-dimensional" % index)
+        if subdivision.d == 1:
+            facets = [(ring[0],), (ring[-1],)]
+        else:
+            facets = [tuple(sorted(pq)) for pq in zip(ring, ring[1:] + ring[:1])]
+        for facet in facets:
+            owners.setdefault(facet, []).append(index)
+    shared = {}
+    for facet, cells in owners.items():
+        if len(cells) > 2:
+            raise InvariantBreach("%d cells share the facet %s" % (len(cells), facet))
+        if len(cells) == 2:
+            pair = tuple(cells)
+            if pair in shared:
+                raise InvariantBreach("cells %d and %d share two facets" % pair)
+            shared[pair] = facet
+    edges = [
+        DualGraphEdge(a, b, tuple([tuple([Fraction(x) for x in p]) for p in facet]))
+        for (a, b), facet in sorted(shared.items())
+    ]
+    return DualGraph(len(subdivision.cells), tuple(edges))
 
 
 def qcartier_defect_cells(subdivision: MixedSubdivision) -> list[DefectCell]:

@@ -30,6 +30,7 @@ from wallcross.mixedsub import (
     regular_mixed_subdivision,
 )
 
+import reference_mixedsub as reference
 from reference_linalg import bareiss_rank
 
 e = EPS
@@ -223,12 +224,21 @@ def test_dual_graph_interval_path():
 
 
 def test_dual_graph_refuses_overlapping_cells():
-    # Cells sharing more than d vertices overlap: no coherent subdivision
-    # has them, so dual_graph reports a breach instead of an edge.
-    S = regular_mixed_subdivision(2, 2, [0, 0, 1, 0, 1, 0])
-    doubled = mixedsub.MixedSubdivision(2, 2, S.lifting, S.cells[:1] * 2)
-    with pytest.raises(InvariantBreach):
-        dual_graph(doubled)
+    # Cells sharing two facets, or a facet with three owners, overlap: no
+    # coherent subdivision has them, so dual_graph reports a breach instead
+    # of an edge.  So does a cell that is not full-dimensional.
+    plane = regular_mixed_subdivision(2, 2, [0, 0, 1, 0, 1, 0])
+    line = regular_mixed_subdivision(1, 2, [0, 0, 0, 1])
+    point = MixedCell(2, (frozenset({0}),) * 2)
+    for S, cells in (
+        (plane, plane.cells[:1] * 2),
+        (line, line.cells[:1] * 2),
+        (plane, plane.cells[:1] * 3),
+        (plane, plane.cells[:1] + (point,)),
+    ):
+        bad = mixedsub.MixedSubdivision(S.d, 2, S.lifting, cells)
+        with pytest.raises(InvariantBreach):
+            dual_graph(bad)
 
 
 def test_dual_graph_matches_facet_scan():
@@ -239,6 +249,72 @@ def test_dual_graph_matches_facet_scan():
             S = regular_mixed_subdivision(d, m, lift)
             got = {(edge.cell_a, edge.cell_b) for edge in dual_graph(S).edges}
             assert got == facet_scan(S)
+
+
+def differential_subdivisions():
+    """Random rational, coarse (heights in [0, 2]) and Q(e) liftings for
+    d = 1, 2 and every m up to 6."""
+    rng = random.Random(63)
+    for index in range(432):
+        d, m = 1 + index % 2, 1 + index // 2 % 6
+        kind = ("rational", "coarse", "eps")[index // 12 % 3]
+        count = m * (d + 1)
+        if kind == "rational":
+            lift = [Fraction(rng.randint(0, 10**4), rng.randint(1, 9)) for _ in range(count)]
+        elif kind == "coarse":
+            lift = [rng.randint(0, 2) for _ in range(count)]
+        else:
+            lift = [EpsRat.from_rat(rng.randint(0, 6)) + e * rng.randint(-3, 3) for _ in range(count)]
+        yield regular_mixed_subdivision(d, m, lift)
+
+
+def test_dual_graph_and_fiber_vertex_match_the_hull_reference():
+    fine = coarse = 0
+    for S in differential_subdivisions():
+        assert dual_graph(S) == reference.dual_graph(S), S.lifting
+        if S.is_fine:
+            fine += 1
+            assert fiber_vertex(S) == reference.fiber_vertex(S), S.lifting
+        else:
+            coarse += 1
+            with pytest.raises(NotFine):
+                fiber_vertex(S)
+    assert fine > 200 and coarse > 40
+
+
+def test_cell_geometry_matches_the_hull_reference_on_every_small_cell():
+    # Every tuple of faces for d = 1 with m <= 6 and d = 2 with m <= 4,
+    # fine or not, full-dimensional or not.
+    count = 0
+    for d, top in ((1, 6), (2, 4)):
+        faces = [frozenset(c) for k in range(1, d + 2) for c in itertools.combinations(range(d + 1), k)]
+        for m in range(1, top + 1):
+            for combo in itertools.product(faces, repeat=m):
+                cell = MixedCell(d, combo)
+                assert cell_vertices(cell) == reference.cell_vertices(cell), combo
+                assert cell_volume(cell) == reference.cell_volume(cell), combo
+                count += 1
+    assert count == 3892
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        MixedCell(2, (frozenset(),)),
+        MixedCell(2, (frozenset({0, 1}), frozenset())),
+        MixedCell(2, (frozenset({5}),)),
+        MixedCell(2, (frozenset({0}), frozenset({1, 3}))),
+        MixedCell(1, (frozenset({2}),)),
+        MixedCell(1, (frozenset({-1, 0}),)),
+        MixedCell(2, ()),
+        MixedCell(3, (frozenset({0, 1, 2, 3}),)),
+    ],
+)
+def test_malformed_cells_raise_bad_parameters(cell):
+    with pytest.raises(BadParameters):
+        cell_vertices(cell)
+    with pytest.raises(BadParameters):
+        cell_volume(cell)
 
 
 def test_dual_graph_connected_generic():
@@ -581,6 +657,14 @@ def test_cell_missing_a_copy_raises(monkeypatch):
     monkeypatch.setattr(mixedsub, "_lower_cells", lambda *args: [frozenset({0, 1, 2})])
     with pytest.raises(InvariantBreach):
         regular_mixed_subdivision(2, 2, [0, 0, 1, 0, 1, 0])
+
+
+def test_cells_that_do_not_cover_raise(monkeypatch):
+    found = mixedsub._lower_cells
+    monkeypatch.setattr(mixedsub, "_lower_cells", lambda *args: found(*args)[1:])
+    for d, lift in ((1, [0, 0, 0, 1]), (2, [0, 0, 1, 0, 1, 0])):
+        with pytest.raises(InvariantBreach, match="cell volumes sum to"):
+            regular_mixed_subdivision(d, 2, lift)
 
 
 # -- defect cells --------------------------------------------------------------------
