@@ -22,10 +22,9 @@ lowering of the weights (see `weights`): one packed-int comparison per flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .epsfield import EPS, EpsRatLike, Rat
+from .epsfield import EPS, EpsRatLike, Rat, exact_rat
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -56,7 +55,7 @@ class Arrangement:
             raise DimensionMismatch("expected %d rows, got %d" % (n, len(rows)))
         mat = []
         for i, row in enumerate(rows):
-            vec = tuple([Fraction(x) for x in row])
+            vec = tuple([exact_rat(x, "row %d entry %d", i + 1, j) for j, x in enumerate(row, 1)])
             if len(vec) != d + 1:
                 raise DimensionMismatch(
                     "row %d has length %d, expected %d" % (i + 1, len(vec), d + 1)

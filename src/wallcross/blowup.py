@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .epsfield import EPS, EpsRat, EpsRatLike, Rat
+from .epsfield import EPS, EpsRat, EpsRatLike, Rat, exact_rat
 from .errors import BadParameters, DimensionMismatch, SizeGuard
 
 #: A pairing surface is refused when its estimated work (see PairingSurface)
@@ -196,8 +196,10 @@ class PairingSurface:
         if m == 0:
             raise BadParameters("a pairing surface needs at least one boundary curve")
         rows = []
-        for row in matrix:
-            vec = tuple(Rat(x) for x in row)
+        for i, row in enumerate(matrix, 1):
+            vec = tuple(
+                [exact_rat(x, "matrix entry (%d, %d)", i, j) for j, x in enumerate(row, 1)]
+            )
             if len(vec) != m:
                 raise DimensionMismatch("intersection matrix must be square")
             rows.append(vec)
@@ -205,7 +207,14 @@ class PairingSurface:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise BadParameters("intersection matrix must be symmetric")
-        div = tuple(EpsRat.coerce(x) for x in divisor)
+        div = tuple(
+            [
+                x
+                if isinstance(x, EpsRat)
+                else EpsRat.from_rat(exact_rat(x, "divisor entry %d", i))
+                for i, x in enumerate(divisor, 1)
+            ]
+        )
         if len(div) != m:
             raise DimensionMismatch("divisor coefficient count must match curves")
         dens = {x.int_den for x in div}

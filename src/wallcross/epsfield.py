@@ -12,6 +12,17 @@ This turns every "for e small enough" comparison into an exact, decidable
 one.  The field operations, the order, evaluation and the lowering of
 `clear_denominators` all run on these integers.
 
+A lowered vector, the integer coefficients of a polynomial in e, packs into
+one int in base 2^bits, lowest degree in the most significant digit
+(`_pack`).  Packing is linear, so a sum or difference of packed vectors is
+the packed sum or difference.  While every digit of a vector stays below
+2^(bits-1) in absolute value, the sign of its packed int is its
+lexicographic sign, lowest degree first, which is its sign in Q(e), and
+`_unpack` recovers it; so packed ints compare in the order of Q(e) wherever
+every compared difference keeps that bound.  Each caller picks bits from
+the largest coefficient its sums can reach.  A vector of length 1, a
+rational one, packs to its own integer.
+
 Rational coefficients appear only at the edges.  EpsPoly, a polynomial with
 Fraction coefficients, is what the public constructor EpsRat(num, den)
 takes and what the `num` and `den` properties give back, scaled so that
@@ -19,7 +30,8 @@ den's lowest nonzero coefficient is 1; the printed form is built from them.
 
 Plain rationals are handled by fractions.Fraction, re-exported as Rat;
 parse_rat and parse_int read rationals and integers in the grammar of the
-Q(e) reader.
+Q(e) reader, and exact_rat admits the library's scalar arguments: ints and
+Fractions, never floats, bools or strings.
 """
 
 from __future__ import annotations
@@ -69,6 +81,18 @@ def _ratio(x: RatLike) -> "tuple[int, int]":
     if isinstance(x, int):
         return int(x), 1
     raise TypeError("expected int or Fraction, got %r" % (x,))
+
+
+def exact_rat(x: object, what: str, *where: int) -> Fraction:
+    """x as a Fraction when it is an int or a Fraction.  A float, a bool, a
+    string or anything else raises BadParameters that names x as
+    what % where, formatted only then, so no inexact or mistyped entry
+    passes at the library's edge."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    raise BadParameters("%s must be an int or a Fraction, got %r" % (what % where, x))
 
 
 def _check_degree(coeffs: Sequence) -> None:
@@ -537,6 +561,31 @@ def clear_denominators(values: Sequence[EpsRatLike]) -> "list[list[int]]":
     return [
         [x * (scale // c) for x in poly] + [0] * (levels - len(poly)) for poly, c in scaled
     ]
+
+
+def _pack(coeffs: "Sequence[int]", bits: int) -> int:
+    """The coefficients as one int in base 2^bits, lowest degree in the most
+    significant digit; its sign is their lexicographic sign while every
+    digit is below 2^(bits-1) in absolute value."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc << bits) + c
+    return acc
+
+
+def _unpack(x: int, bits: int, length: int) -> "list[int]":
+    """Inverse of _pack for digits of absolute value below 2^(bits-1)."""
+    if length == 1:
+        return [x]
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = [0] * length
+    for j in range(length - 1, -1, -1):
+        digit = x & mask
+        if digit >= half:
+            digit -= mask + 1
+        out[j] = digit
+        x = (x - digit) >> bits
+    return out
 
 
 def positivity_radius(a: EpsRat) -> Fraction:

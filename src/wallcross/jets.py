@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .blowup import degeneration_log_divisor, is_ample_blowup, y1_log_divisor
-from .epsfield import EPS, EpsRatLike, Rat
+from .epsfield import EPS, EpsRatLike, Rat, exact_rat
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -60,7 +60,7 @@ class JetPoly:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Iterable[Rat], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact_rat(c, "jet coefficient of t^%d", k) for k, c in enumerate(coeffs)]
         if order is None:
             order = len(cs)
         if order < 1:
@@ -104,7 +104,7 @@ class JetPoly:
         return JetPoly(out, order)
 
     def scale(self, c: Rat) -> "JetPoly":
-        c = Fraction(c)
+        c = exact_rat(c, "jet scale factor")
         return JetPoly([c * a for a in self.coeffs], self.order)
 
     def __eq__(self, other: object) -> bool:

@@ -35,8 +35,8 @@ Everything is exact: potentials, cell vertices and twice the cell volumes
 are integers, and Fractions appear only in the outputs.  A lifting in Q(e)
 is an infinitesimal perturbation (Edelsbrunner-Muecke, "Simulation of
 Simplicity", 1990); it is scaled by one common factor that is positive near
-e = 0 into integer polynomials in e, whose coefficient tuples, lowest
-degree first, compare in the order of Q(e).
+e = 0 into integer polynomials in e, each packed into one int that
+compares in the order of Q(e) (see `epsfield`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .epsfield import EpsRat, clear_denominators
+from .epsfield import EpsRat, _pack, clear_denominators, exact_rat
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -135,8 +135,7 @@ def _lower_cells(heights: Sequence[Sequence[int]], d: int) -> list[frozenset[int
     as sets of point indices (copy-major, d + 1 points per copy).
 
     heights[k] holds the integer coefficients of the height of point k as a
-    polynomial in e, lowest degree first, all of one length, so tuple order
-    is the order of Q(e) and only additions and comparisons are needed.
+    polynomial in e, lowest degree first, all of one length.
 
     An affine function on the Cayley points takes the value y_j + z_i at
     vertex j of copy i, with y_0 = 0.  It supports a lower face when
@@ -152,37 +151,35 @@ def _lower_cells(heights: Sequence[Sequence[int]], d: int) -> list[frozenset[int
     k, which gives at most 3m^2 candidates.  Each candidate whose argmin
     sets connect the vertices is a cell, and every cell arises this way.
     A non-generic lifting yields its coarse cells directly.
+
+    Each height is packed once into an int (see `epsfield`), and int order
+    is the order of Q(e) while each compared difference has digits below
+    2^(bits-1): coordinate j of two candidates, told apart by the candidate
+    set, and two slacks h_ij - y_j of one copy, compared by min and the
+    tight test.  One candidate coordinate sums at most 4 signed heights and
+    the others 2, so each difference sums at most 8, with digits within
+    8*top for top the largest |coefficient|: (16*top).bit_length() bits do.
     """
-    m = len(heights) // (d + 1)
-    h = [[tuple(heights[i * (d + 1) + j]) for j in range(d + 1)] for i in range(m)]
-
-    def minus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([a - b for a, b in zip(u, v)])
-
-    def plus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([a + b for a, b in zip(u, v)])
-
-    def hop(i: int, a: int, b: int) -> tuple[int, ...]:
-        return minus(h[i][b], h[i][a])
-
-    zero = (0,) * len(h[0][0])
+    bits = (16 * max([abs(c) for v in heights for c in v])).bit_length()
+    h = [_pack(v, bits) for v in heights]
+    rows = [h[i : i + d + 1] for i in range(0, len(h), d + 1)]
     if d == 1:
-        candidates = {(zero, hop(i, 0, 1)) for i in range(m)}
+        candidates = {(0, b - a) for a, b in rows}
     else:
         candidates = set()
-        for i, k in product(range(m), repeat=2):
-            y1, y2 = hop(i, 0, 1), hop(k, 0, 2)
-            candidates.add((zero, y1, y2))
-            candidates.add((zero, y1, plus(y1, hop(k, 1, 2))))
-            candidates.add((zero, plus(y2, hop(i, 2, 1)), y2))
+        for (a0, a1, a2), (b0, b1, b2) in product(rows, repeat=2):
+            y1, y2 = a1 - a0, b2 - b0
+            candidates.add((0, y1, y2))
+            candidates.add((0, y1, y1 + b2 - b1))
+            candidates.add((0, y2 + a1 - a2, y2))
     cells = set()
     for y in candidates:
         component = list(range(d + 1))
         cell = []
-        for i in range(m):
-            slack = [minus(h[i][j], y[j]) for j in range(d + 1)]
+        for i, row in enumerate(rows):
+            slack = [a - b for a, b in zip(row, y)]
             z = min(slack)
-            tight = [j for j in range(d + 1) if slack[j] <= z]
+            tight = [j for j in range(d + 1) if slack[j] == z]
             merged = {component[j] for j in tight}
             component = [min(merged) if c in merged else c for c in component]
             cell += [i * (d + 1) + j for j in tight]
@@ -211,15 +208,17 @@ def regular_mixed_subdivision(
     each height num/den has den's lowest coefficient +1 (a rational has
     den = 1), so the lcm D of the denominators is positive near e = 0, and
     an integer lcm L clears the rational coefficients of each h*D.  Scaling
-    all heights by one positive D*L keeps the lower hull, and the order of
-    Q(e) is the lexicographic order of the integer coefficients.
+    all heights by one positive D*L keeps the lower hull, and `_lower_cells`
+    packs each into an int that compares in the order of Q(e).  A height
+    that is not an EpsRat must be an int or a Fraction.
     """
     if d not in (1, 2):
         raise BadParameters("mixed subdivisions implemented for d in {1, 2}")
     if m < 1:
         raise BadParameters("need m >= 1")
     check_size(m)
-    heights = tuple([x if isinstance(x, EpsRat) else Fraction(x) for x in lifting])
+    heights = [x if isinstance(x, EpsRat) else exact_rat(x, "lifting height %d", i)
+               for i, x in enumerate(lifting, 1)]
     if len(heights) != m * (d + 1):
         raise DimensionMismatch(
             "lifting needs m*(d+1) = %d values, got %d" % (m * (d + 1), len(heights))
@@ -234,7 +233,7 @@ def regular_mixed_subdivision(
             raise InvariantBreach("a full-dimensional lower cell misses a copy")
         cells.append(MixedCell(d, tuple([frozenset(f) for f in faces])))
     cells.sort(key=MixedCell.sort_key)
-    subdivision = MixedSubdivision(d, m, heights, tuple(cells))
+    subdivision = MixedSubdivision(d, m, tuple(heights), tuple(cells))
     total = sum([_twice_volume(_polygon(c)) for c in subdivision.cells])
     expected = 2 * m if d == 1 else m * m
     if total != expected:

@@ -27,11 +27,9 @@ lowest coefficient, so D*L is positive near e = 0.  t and nt carry their
 lowering from construction, in closed form from eps's stored pair p/q (see
 `t_weights` and `nt_weights`); with the joint content divided out it equals
 the general route's, field for field.  Each vector is packed into one int
-in base 2^bits, lowest degree in the most significant digit.  The base
-exceeds twice the largest coefficient that any subset sum minus k times the
-factor with 0 <= k <= n can reach, so no digit carries into the next and
-that sign is the sign of one int subtraction; a rational vector packs to a
-plain int.
+by the rule stated in `epsfield` (`_pack`).  The base exceeds twice the
+largest coefficient that any subset sum minus k times the factor with
+0 <= k <= n can reach, so that sign is the sign of one int subtraction.
 
 One enumerator, `_multiplicities`, walks the multiplicity vectors over the
 value groups of one or two weight vectors with packed incremental sums, and
@@ -67,6 +65,8 @@ from .epsfield import (
     EpsRat,
     EpsRatLike,
     _lex_sign,
+    _pack,
+    _unpack,
     clear_denominators,
     poly_add,
     poly_mul,
@@ -260,28 +260,6 @@ class _Lowered(NamedTuple):
     unit: list[int]  # coefficients of the factor, lowest degree first
     packed_unit: int
     packed: tuple[int, ...]  # b_i times the factor, packed
-
-
-def _pack(coeffs: Sequence[int], bits: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = (acc << bits) + c
-    return acc
-
-
-def _unpack(x: int, bits: int, length: int) -> list[int]:
-    """Inverse of _pack for digits of absolute value below 2^(bits-1)."""
-    if length == 1:
-        return [x]
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    out = [0] * length
-    for j in range(length - 1, -1, -1):
-        digit = x & mask
-        if digit >= half:
-            digit -= mask + 1
-        out[j] = digit
-        x = (x - digit) >> bits
-    return out
 
 
 def _bits(n: int, coeffs: Sequence[Sequence[int]], unit: Sequence[int]) -> int:

@@ -1,10 +1,16 @@
-"""The cell geometry that `wallcross.mixedsub` ran before it read each
-cell's vertices off support directions, kept word for word as the test
-reference: lattice-point Minkowski sums, a monotone-chain hull, a Fraction
-shoelace, the Fraction fiber-vertex sum and the pairwise dual-graph scan."""
+"""Code that `wallcross.mixedsub` ran before, kept word for word as the
+test reference.
+
+- The cell geometry from before each cell's vertices were read off support
+  directions: lattice-point Minkowski sums, a monotone-chain hull, a
+  Fraction shoelace, the Fraction fiber-vertex sum and the pairwise
+  dual-graph scan.
+- `_lower_cells` from before the heights were packed into ints: potentials
+  and slacks as coefficient tuples, compared in tuple order.
+"""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from wallcross.errors import InvariantBreach, NotFine
@@ -120,3 +126,64 @@ def dual_graph(subdivision: MixedSubdivision) -> DualGraph:
         if len(common) == d:
             edges.append(DualGraphEdge(a, b, tuple(sorted(common))))
     return DualGraph(len(cells), tuple(edges))
+
+
+def _lower_cells(heights: Sequence[Sequence[int]], d: int) -> list[frozenset[int]]:
+    """Full-dimensional faces of the lower hull of the lifted Cayley points,
+    as sets of point indices (copy-major, d + 1 points per copy).
+
+    heights[k] holds the integer coefficients of the height of point k as a
+    polynomial in e, lowest degree first, all of one length, so tuple order
+    is the order of Q(e) and only additions and comparisons are needed.
+
+    An affine function on the Cayley points takes the value y_j + z_i at
+    vertex j of copy i, with y_0 = 0.  It supports a lower face when
+    y_j + z_i <= h_ij everywhere, with equality exactly on the face, so
+    z_i = min_j (h_ij - y_j) and copy i meets the face in its argmin set.
+    The face is full-dimensional exactly when its tight bipartite graph on
+    copies and vertices is connected, i.e. the argmin sets connect the
+    vertices 0..d.  Then y is fixed by a spanning tree on the vertices whose
+    edges a-b are hops h_ib - h_ia through one copy; y is a vertex of the
+    arrangement of the m tropical hyperplanes (Develin-Sturmfels, "Tropical
+    convexity", 2004).  For d = 1 the tree is one hop, y_1 = h_i1 - h_i0;
+    for d = 2 it is a path centred at vertex 0, 1 or 2 through copies i and
+    k, which gives at most 3m^2 candidates.  Each candidate whose argmin
+    sets connect the vertices is a cell, and every cell arises this way.
+    A non-generic lifting yields its coarse cells directly.
+    """
+    m = len(heights) // (d + 1)
+    h = [[tuple(heights[i * (d + 1) + j]) for j in range(d + 1)] for i in range(m)]
+
+    def minus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([a - b for a, b in zip(u, v)])
+
+    def plus(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([a + b for a, b in zip(u, v)])
+
+    def hop(i: int, a: int, b: int) -> tuple[int, ...]:
+        return minus(h[i][b], h[i][a])
+
+    zero = (0,) * len(h[0][0])
+    if d == 1:
+        candidates = {(zero, hop(i, 0, 1)) for i in range(m)}
+    else:
+        candidates = set()
+        for i, k in product(range(m), repeat=2):
+            y1, y2 = hop(i, 0, 1), hop(k, 0, 2)
+            candidates.add((zero, y1, y2))
+            candidates.add((zero, y1, plus(y1, hop(k, 1, 2))))
+            candidates.add((zero, plus(y2, hop(i, 2, 1)), y2))
+    cells = set()
+    for y in candidates:
+        component = list(range(d + 1))
+        cell = []
+        for i in range(m):
+            slack = [minus(h[i][j], y[j]) for j in range(d + 1)]
+            z = min(slack)
+            tight = [j for j in range(d + 1) if slack[j] <= z]
+            merged = {component[j] for j in tight}
+            component = [min(merged) if c in merged else c for c in component]
+            cell += [i * (d + 1) + j for j in tight]
+        if len(set(component)) == 1:
+            cells.add(frozenset(cell))
+    return list(cells)

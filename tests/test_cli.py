@@ -473,7 +473,8 @@ def test_ample_pairing_computes_each_degree_once(capsys, tmp_path, monkeypatch):
     path.write_text(json.dumps(doc))
     code, report = run_json(capsys, "ample", "--model", "pairing", str(path))
     assert code == 0 and calls == [0, 1, 2]
-    surface = cli.blowup.PairingSurface(doc["matrix"], [cli.parse_eps_rat(x) for x in doc["divisor"]])
+    matrix = [[cli.parse_rat(x) for x in row] for row in doc["matrix"]]
+    surface = cli.blowup.PairingSurface(matrix, [cli.parse_eps_rat(x) for x in doc["divisor"]])
     assert report["ample"] == cli.blowup.ample_from_pairing(surface)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross.arrangement import Arrangement
+from wallcross.blowup import PairingSurface
 from wallcross.epsfield import (
     EPS,
     MAX_EPS_DEGREE,
@@ -16,9 +18,13 @@ from wallcross.epsfield import (
     EpsPoly,
     EpsRat,
     _int_gcd,
+    _lex_sign,
     _normal_form,
+    _pack,
+    _unpack,
     clear_denominators,
     eps_cmp,
+    exact_rat,
     format_poly,
     integer_coeffs,
     parse_eps_rat,
@@ -29,12 +35,15 @@ from wallcross.epsfield import (
     positivity_radius,
 )
 from wallcross.errors import (
+    BadParameters,
     DegreeOverflow,
     DivisionByZero,
     ParseError,
     PoleAtPoint,
     SizeGuard,
 )
+from wallcross.jets import JetPoly
+from wallcross.mixedsub import regular_mixed_subdivision
 
 e = EPS
 
@@ -160,6 +169,78 @@ def test_equal_values_hash_equal():
 
     check()
     assert 1 in {ONE} and Fraction(-1, 2) in {(e - 1) / (2 * e + 2) - e / (e + 1)}
+
+
+def test_packing_keeps_digits_sign_and_differences():
+    # Digits below 2^(bits-1) in absolute value round-trip, the packed sign
+    # is the lexicographic sign, and packing is linear, so packed ints
+    # compare as their vectors do while the differences keep the bound.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def vectors(draw):
+        bits, length = draw(st.integers(2, 70)), draw(st.integers(1, 6))
+        digit = st.integers(-(2 ** (bits - 2)) + 1, 2 ** (bits - 2) - 1)
+        u, v = [draw(st.lists(digit, min_size=length, max_size=length)) for _ in "uv"]
+        return bits, u, v
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(vectors())
+    def check(drawn):
+        bits, u, v = drawn
+        diff = [a - b for a, b in zip(u, v)]
+        for w in (u, v, diff):
+            assert _unpack(_pack(w, bits), bits, len(w)) == w
+            assert sign(_pack(w, bits)) == _lex_sign(w)
+        assert _pack(u, bits) - _pack(v, bits) == _pack(diff, bits)
+
+    check()
+    assert _pack([-7], 3) == -7 and _unpack(-7, 3, 1) == [-7]
+
+
+#: Library entry points that read scalars through exact_rat, each with a
+#: builder that places one entry and the name its refusal gives that entry.
+EXACT_EDGES = {
+    "exact_rat": (lambda x: exact_rat(x, "entry %d", 3), "entry 3"),
+    "Arrangement": (
+        lambda x: Arrangement(1, 4, [[1, 0], [0, 1], [1, 1], [1, x]]),
+        "row 4 entry 2",
+    ),
+    "JetPoly": (lambda x: JetPoly([1, x, 0]), r"jet coefficient of t\^1"),
+    "JetPoly.scale": (lambda x: JetPoly([1]).scale(x), "jet scale factor"),
+    "PairingSurface matrix": (
+        lambda x: PairingSurface([[0, 1], [x, 0]], [1, 1]),
+        r"matrix entry \(2, 1\)",
+    ),
+    "PairingSurface divisor": (
+        lambda x: PairingSurface([[0, 1], [1, 0]], [1, x]),
+        "divisor entry 2",
+    ),
+    "regular_mixed_subdivision": (
+        lambda x: regular_mixed_subdivision(1, 2, [0, x, 1, 0]),
+        "lifting height 2",
+    ),
+}
+
+
+# Fraction() reads the float, the bool and both strings.
+@pytest.mark.parametrize("value", [0.25, True, "1e-5", "1/2", None])
+@pytest.mark.parametrize("edge", sorted(EXACT_EDGES))
+def test_library_edge_takes_exact_scalars_only(edge, value):
+    build, name = EXACT_EDGES[edge]
+    with pytest.raises(BadParameters, match="^%s must be an int or a Fraction, got " % name):
+        build(value)
+    build(1)
+    build(Fraction(1))
+
+
+def test_exact_rat_keeps_ints_and_fractions():
+    assert exact_rat(-4, "x") == -4 and type(exact_rat(-4, "x")) is Fraction
+    assert exact_rat(Fraction(2, 6), "x") == Fraction(1, 3)
 
 
 def test_degree_guard():

@@ -575,22 +575,27 @@ def scan_lower_cells(points, heights, groups):
     return cells
 
 
-def test_lower_cells_match_the_integer_scan():
-    # Potentials against the subset scan on the same integer heights, over
-    # generic, coarse (often non-fine), linear Q(e) and (1+q*e)-denominator
-    # liftings.  The scan costs up to 0.5 s per lifting of d = 2, m = 4 and
-    # of d = 1, m = 6, so the larger shapes get fewer rounds.
-    rng = random.Random(60)
+def lifting_makers(rng):
+    """Height makers for generic, coarse (often non-fine), linear Q(e) and
+    (1+q*e)-denominator liftings."""
 
     def linear():
         return rng.randint(0, 2) + rng.randint(-2, 2) * e
 
-    makers = (
+    return (
         lambda: Fraction(rng.randint(0, 10**4), rng.randint(1, 3)),
         lambda: Fraction(rng.randint(0, 2)),
         linear,
         lambda: linear() / (1 + rng.randint(-3, 3) * e),
     )
+
+
+def test_lower_cells_match_the_integer_scan():
+    # Potentials against the subset scan on the same integer heights.  The
+    # scan costs up to 0.5 s per lifting of d = 2, m = 4 and of d = 1,
+    # m = 6, so the larger shapes get fewer rounds.
+    rng = random.Random(60)
+    makers = lifting_makers(rng)
     shapes = [(1, m) for m in range(1, 7)] + [(1, m) for m in range(1, 5)] * 2
     shapes += [(2, m) for m in (1, 2, 3)] * 4 + [(2, 4)] * 2
     fine = 0
@@ -606,6 +611,43 @@ def test_lower_cells_match_the_integer_scan():
             assert sorted(map(sorted, got)) == sorted(map(sorted, want)), (d, heights)
             fine += all(len(cell) == m + d for cell in want)
     assert 0 < fine < len(shapes) * len(makers)
+
+
+def test_packed_lower_cells_match_the_tuple_reference():
+    # The packed potentials against the coefficient-tuple routine they
+    # replaced, on the same integer heights.  The adversarial Q(e) heights
+    # h +- T*e + c*e^2 tie often in their leading terms and make hop sums
+    # with large digits; a packing base taken from 2*top instead of 16*top
+    # gets 410 of the 3,400 liftings before the last corpus wrong.  The last
+    # corpus takes 1000-digit numerators and denominators, the longest
+    # literals the CLI reads, at the largest m.
+    rng = random.Random(62)
+    shapes = [(1, m) for m in range(1, 7)] + [(2, m) for m in range(1, 5)]
+    corpus = []
+    for make in lifting_makers(rng):
+        corpus += [(d, [make() for _ in range(m * (d + 1))]) for d, m in shapes * 10]
+    for T in (1, 3, 10):
+        for d, m in shapes * 100:
+            lift = [
+                rng.randint(0, 1) + rng.choice((-T, T)) * e + rng.randint(-T, T) * e**2
+                for _ in range(m * (d + 1))
+            ]
+            corpus.append((d, lift))
+    for d in (1, 2, 1, 2):
+        lift = [
+            Fraction(rng.randrange(10**1000), rng.randrange(10**999, 10**1000))
+            for _ in range(6 * (d + 1))
+        ]
+        corpus.append((d, lift))
+    fine = 0
+    for d, lift in corpus:
+        heights = clear_denominators(lift)
+        got = mixedsub._lower_cells(heights, d)
+        want = reference._lower_cells(heights, d)
+        assert len(got) == len(set(got))
+        assert set(got) == set(want), (d, lift)
+        fine += all(len(cell) == len(heights) // (d + 1) + d for cell in want)
+    assert 0 < fine < len(corpus)
 
 
 def test_lower_cells_match_field_scan_on_perturbed_liftings():

@@ -116,3 +116,26 @@ def test_weights_imports_nothing_from_fractions():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert found == []
+
+
+def test_one_home_for_packing():
+    # Lowered Q(e) vectors have one packed-int form: only epsfield defines
+    # _pack and _unpack, and mixedsub takes them from there, not from weights.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name in ("_pack", "_unpack")
+                and path.name != "epsfield.py"
+            ):
+                found.append(where + " defines " + node.name)
+            elif path.name == "mixedsub.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    names.append(node.module or "")
+                if any(name.split(".")[-1] == "weights" for name in names):
+                    found.append(where + " imports from weights")
+    assert found == []
